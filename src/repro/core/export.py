@@ -3,11 +3,6 @@
 Every analysis object renders to text tables for the console; this module
 exports the same data in machine-readable form so results can be plotted
 or post-processed outside the library.
-
-(Historically ``repro.utils.export``; moved here because the exporters
-are views over ``repro.core`` result types — the static verifier's
-layering pass (REP012) rejects ``utils`` importing upward into ``core``.
-The old module lazily forwards for compatibility.)
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ from repro.core.explorer import ExplorationResult
 from repro.core.latency_profile import LatencyProfile
 from repro.core.metrics import STALL_CAUSE_KEYS, QueueMetrics, RunMetrics
 from repro.errors import UsageError
-from repro.utils.export import write_text
 
 __all__ = [
     "exploration_to_dict",
@@ -39,6 +33,14 @@ __all__ = [
     "runs_to_text",
     "write_text",
 ]
+
+
+def write_text(path: str | Path, text: str) -> Path:
+    """Write exported text to ``path`` (creating parent directories)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path
 
 
 def runs_to_text(runs: Sequence[RunMetrics], fmt: str = "csv") -> str:

@@ -28,7 +28,6 @@ from collections.abc import Callable
 from repro.errors import ConfigError
 from repro.mem.queue import StatQueue
 from repro.mem.request import MemoryRequest
-from repro.utils.vec import IntVec
 
 #: Command kinds returned by a scheduler.
 CAS = "cas"
@@ -43,8 +42,8 @@ class DRAMScheduler:
     def select(
         self,
         queue: StatQueue[MemoryRequest],
-        busy_until: IntVec,
-        open_row: IntVec,
+        busy_until: list[int],
+        open_row: list[int],
         now: int,
         cas_ok: Callable[[MemoryRequest], bool],
     ) -> tuple[str, MemoryRequest] | None:

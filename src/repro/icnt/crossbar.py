@@ -84,19 +84,10 @@ class Crossbar(Component):
         #: Source deque aliases (mutated in place by StatQueue), saving an
         #: attribute hop in the per-cycle injection/wake scans.
         self._src_items = [src._items for src in self._sources]
-        #: (index, source queue, its deque, input port) rows for injection.
+        #: (source queue, its deque, input port) triples for injection.
         self._pairs = list(
-            zip(
-                range(len(self._sources)),
-                self._sources,
-                self._src_items,
-                self._inputs,
-            )
+            zip(self._sources, self._src_items, self._inputs)
         )
-        #: Per-step wake-edge records for the event engine: which source
-        #: queues were popped and which sinks received a packet.
-        self._injected_sources: list[int] = []
-        self._delivered_sinks: list[int] = []
         #: Number of input ports holding at least one packet.
         self._active_inputs = 0
         #: Output -> input currently locked to it (None = free).
@@ -117,19 +108,9 @@ class Crossbar(Component):
     # ------------------------------------------------------------------
     def step(self, now: int) -> None:
         self.cycles += 1
-        self._injected_sources.clear()
-        self._delivered_sinks.clear()
         self._inject(now)
         if self._active_inputs:
             self._arbitrate_and_transfer(now)
-
-    def injected_sources(self) -> list[int]:
-        """Source indices popped during the last step (event wake edges)."""
-        return self._injected_sources
-
-    def delivered_sinks(self) -> list[int]:
-        """Sink indices handed a packet during the last step."""
-        return self._delivered_sinks
 
     def next_wake(self, now: int) -> int:
         if self._active_inputs:
@@ -144,13 +125,11 @@ class Crossbar(Component):
 
     def _inject(self, now: int) -> None:
         """Move packets from source queues into input-port FIFOs."""
-        for idx, src, items, port in self._pairs:
+        for src, items, port in self._pairs:
             if not items:
                 continue
-            popped = False
             while port.has_room and not src.empty:
                 request = src.pop(now)
-                popped = True
                 request.stamp(f"{self._stamp_hop}_in", now)
                 dest = self._route(request)
                 if not port.fifo:
@@ -164,8 +143,6 @@ class Crossbar(Component):
                         flits_left=self._cycles_of(request),
                     )
                 )
-            if popped:
-                self._injected_sources.append(idx)
 
     def _arbitrate_and_transfer(self, now: int) -> None:
         n_inputs = len(self._inputs)
@@ -193,7 +170,6 @@ class Crossbar(Component):
             self.packets_delivered += 1
             packet.request.stamp(f"{self._stamp_hop}_out", now)
             sink.accept(packet.request, now)
-            self._delivered_sinks.append(out_idx)
             port.fifo.popleft()
             if not port.fifo:
                 self._active_inputs -= 1

@@ -446,22 +446,23 @@ class ReproDaemon:
                     break
         except Exception as exc:  # worker threads must never die silently
             error = f"{type(exc).__name__}: {exc}"
-        with self._wake:
-            if cancelled:
-                submission.state = CANCELLED
-            elif error:
-                submission.state = FAILED
-                submission.error = error
-            else:
-                submission.state = DONE
-            submission.finished = time.time()  # noqa: REP001 - service bookkeeping, not simulated time
-            self._wake.notify_all()
-        if events is not None:
-            events.emit(
-                "submission_end", id=submission.id,
-                state=submission.state, error=error,
-            )
-            events.close()
+        state = CANCELLED if cancelled else FAILED if error else DONE
+        # The end event must be in the log before the terminal state is
+        # visible: a follower that sees a terminal state stops reading.
+        try:
+            if events is not None:
+                events.emit(
+                    "submission_end", id=submission.id, state=state,
+                    error=error,
+                )
+                events.close()
+        finally:
+            with self._wake:
+                submission.state = state
+                if state == FAILED:
+                    submission.error = error
+                submission.finished = time.time()  # noqa: REP001 - service bookkeeping, not simulated time
+                self._wake.notify_all()
 
 
 __all__ = [

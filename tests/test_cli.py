@@ -1,9 +1,14 @@
 """CLI smoke tests (tiny config, heavily scaled down)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -20,6 +25,18 @@ class TestParser:
         args = build_parser().parse_args(["run", "nn"])
         assert args.config == "small"
         assert args.scale == 1.0
+
+
+class TestImportFootprint:
+    def test_cli_import_does_not_load_numpy(self):
+        """Every CLI process pays for what ``repro.cli`` imports; the
+        simulator keeps its state in plain lists and needs no numpy."""
+        src = Path(repro.__file__).resolve().parent.parent
+        code = "import sys, repro, repro.cli; print('numpy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestCommands:

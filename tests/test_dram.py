@@ -28,6 +28,18 @@ def make_channel(**dram_kwargs):
     return channel, l2, mapper, cfg
 
 
+#: Per-channel bank counts: the shipped configs (16) and the Table I
+#: scaled ``dram`` / ``l2+dram`` design points (64).
+BANK_COUNTS = (16, 64)
+
+
+def banked_config(n_banks):
+    cfg = tiny_gpu()
+    return dataclasses.replace(
+        cfg, dram=dataclasses.replace(cfg.dram, banks=n_banks)
+    )
+
+
 def read(rid, line):
     return MemoryRequest(rid=rid, kind=AccessKind.LOAD, line=line, sm_id=0, warp_id=0)
 
@@ -69,6 +81,30 @@ class TestBankState:
         assert bank.row_hits == 1
         assert bank.row_conflicts == 1
         assert bank.row_hit_rate == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("n_banks", BANK_COUNTS)
+class TestBankFile:
+    def test_min_busy_tracks_earliest_bank(self, n_banks):
+        banks = BankFile(n_banks)
+        assert banks.min_busy() == 0
+        for i in range(n_banks):
+            banks.busy_until[i] = 100 + i
+        assert banks.min_busy() == 100
+        banks.views[n_banks - 1].busy_until = 7
+        assert banks.min_busy() == 7
+
+    def test_lockout_extends_busy_and_closes_rows(self, n_banks):
+        banks = BankFile(n_banks)
+        for i in range(n_banks):
+            banks.open_row[i] = i
+            banks.busy_until[i] = 50 if i % 2 else 500
+        banks.lockout(200)
+        assert banks.busy_until == [
+            200 if i % 2 else 500 for i in range(n_banks)
+        ]
+        assert banks.min_busy() == 200
+        assert all(view.open_row is None for view in banks.views)
 
 
 class TestServiceFlow:
@@ -151,8 +187,9 @@ class TestSchedulers:
             q.push(r, 0)
         return q
 
-    def test_frfcfs_prefers_row_hit_over_older_conflict(self):
-        cfg = tiny_gpu()
+    @pytest.mark.parametrize("n_banks", BANK_COUNTS)
+    def test_frfcfs_prefers_row_hit_over_older_conflict(self, n_banks):
+        cfg = banked_config(n_banks)
         mapper = AddressMapper(cfg)
         sched = make_scheduler("frfcfs")
         banks = BankFile(cfg.dram.banks)
@@ -167,8 +204,9 @@ class TestSchedulers:
         )
         assert choice == (CAS, old)
 
-    def test_frfcfs_activates_for_oldest_when_no_hits(self):
-        cfg = tiny_gpu()
+    @pytest.mark.parametrize("n_banks", BANK_COUNTS)
+    def test_frfcfs_activates_for_oldest_when_no_hits(self, n_banks):
+        cfg = banked_config(n_banks)
         mapper = AddressMapper(cfg)
         sched = make_scheduler("frfcfs")
         banks = BankFile(cfg.dram.banks)
@@ -179,8 +217,9 @@ class TestSchedulers:
         )
         assert choice == (ACTIVATE, a)
 
-    def test_frfcfs_does_not_close_row_with_pending_hits(self):
-        cfg = tiny_gpu()
+    @pytest.mark.parametrize("n_banks", BANK_COUNTS)
+    def test_frfcfs_does_not_close_row_with_pending_hits(self, n_banks):
+        cfg = banked_config(n_banks)
         mapper = AddressMapper(cfg)
         sched = make_scheduler("frfcfs")
         banks = BankFile(cfg.dram.banks)
@@ -199,8 +238,9 @@ class TestSchedulers:
         )
         assert choice is None
 
-    def test_fcfs_serves_strictly_in_order(self):
-        cfg = tiny_gpu()
+    @pytest.mark.parametrize("n_banks", BANK_COUNTS)
+    def test_fcfs_serves_strictly_in_order(self, n_banks):
+        cfg = banked_config(n_banks)
         mapper = AddressMapper(cfg)
         sched = make_scheduler("fcfs")
         banks = BankFile(cfg.dram.banks)

@@ -190,6 +190,36 @@ class TestDaemonLifecycle:
         assert final["state"] == "failed" and final["error"]
         daemon.stop(timeout=10)
 
+    def test_end_event_is_logged_before_terminal_state(
+        self, tmp_path, monkeypatch
+    ):
+        """A follower stops reading once it sees a terminal state, so
+        ``submission_end`` must already be in the log by then."""
+        from repro.runner.events import EventLog
+
+        reached, release = threading.Event(), threading.Event()
+        emit = EventLog.emit
+
+        def gated_emit(log, event, **fields):
+            if event == "submission_end":
+                reached.set()
+                release.wait()
+            emit(log, event, **fields)
+
+        monkeypatch.setattr(EventLog, "emit", gated_emit)
+        daemon = _daemon(tmp_path)
+        status = daemon.submit(_spec())
+        daemon.start()
+        try:
+            assert reached.wait(timeout=300)
+            assert daemon.status(status["id"])["state"] not in TERMINAL
+        finally:
+            release.set()
+        assert daemon.wait_idle(timeout=300)
+        assert daemon.status(status["id"])["state"] == DONE
+        assert _event_kinds(daemon._get(status["id"]))[-1] == "submission_end"
+        daemon.stop(timeout=10)
+
     def test_live_submission_keys_survive_eviction(self, tmp_path):
         daemon = _daemon(tmp_path)
         status = daemon.submit(_spec())
