@@ -95,7 +95,12 @@ from repro.core.design_space import render_table_i
 from repro.core.explorer import explore_design_space
 from repro.core.latency_profile import profile_latency_tolerance
 from repro.core.metrics import run_kernel
-from repro.core.profile import config_for_label, profile_diff, profile_kernel
+from repro.core.profile import (
+    config_for_label,
+    profile_diff,
+    profile_kernel,
+    sweep_jobs,
+)
 from repro.core.replication import replicate
 from repro.core.validation import validate_reproduction
 from repro.core.export import export_runs, write_text
@@ -133,20 +138,14 @@ from repro.service import (
     sweep_spec,
 )
 from repro.runner.cache import default_cache_dir
-from repro.sim.config import GPUConfig, fermi_gtx480, small_gpu, tiny_gpu
+from repro.sim.config import NAMED_CONFIGS, GPUConfig
 from repro.utils.tables import render_table
 from repro.workloads.suite import PAPER_SUITE, SPECS, get_benchmark
-
-_CONFIGS = {
-    "small": small_gpu,
-    "fermi": fermi_gtx480,
-    "tiny": tiny_gpu,
-}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--config", choices=sorted(_CONFIGS), default="small",
+        "--config", choices=sorted(NAMED_CONFIGS), default="small",
         help="architecture configuration (default: small)")
     parser.add_argument(
         "--scale", type=float, default=1.0,
@@ -155,6 +154,26 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--benchmarks", nargs="*", default=list(PAPER_SUITE),
         metavar="NAME", help="subset of the suite to run")
+
+
+def _add_sweep(parser: argparse.ArgumentParser) -> None:
+    """Sweep-matrix flags shared by ``campaign run`` and ``submit``."""
+    parser.add_argument(
+        "--config", choices=sorted(NAMED_CONFIGS), default="small",
+        help="architecture configuration (default: small)")
+    parser.add_argument(
+        "--scale", type=float, default=1.0,
+        help="benchmark iteration scale (default: 1.0)")
+    parser.add_argument(
+        "--benchmarks", nargs="*", default=list(PAPER_SUITE),
+        metavar="NAME", help="benchmarks in the sweep (default: the suite)")
+    parser.add_argument(
+        "--seeds", nargs="*", type=int, default=[1], metavar="SEED",
+        help="seeds in the sweep (default: 1)")
+    parser.add_argument(
+        "--configs", nargs="*", default=["baseline"], metavar="LABEL",
+        help="Section IV scaling labels in the sweep (baseline, l1, l2, "
+             "dram, l1+l2, l2+dram; default: baseline)")
 
 
 def _add_runner(parser: argparse.ArgumentParser) -> None:
@@ -210,7 +229,7 @@ def _note_batch(runner: BatchRunner, *metrics_groups) -> None:
 
 
 def _config(args: argparse.Namespace) -> GPUConfig:
-    return _CONFIGS[args.config]()
+    return NAMED_CONFIGS[args.config]()
 
 
 def _report_sim_profile(profiler, args: argparse.Namespace) -> None:
@@ -538,18 +557,6 @@ def _campaign_store(args: argparse.Namespace) -> ResultCache:
     )
 
 
-def _campaign_jobs(args: argparse.Namespace) -> list[Job]:
-    """The sweep matrix: Section IV config labels x benchmarks x seeds."""
-    base = _CONFIGS[args.config]()
-    return [
-        Job(config_for_label(base, label), name, seed=seed,
-            iteration_scale=args.scale)
-        for label in args.configs
-        for name in args.benchmarks
-        for seed in args.seeds
-    ]
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     store = _campaign_store(args)
     if args.action == "status":
@@ -557,37 +564,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "run":
-        jobs = _campaign_jobs(args)
-
-        def _verify_join() -> None:
-            # Joining an existing campaign: the requested sweep must be
-            # the same work list, otherwise results would not line up.
-            manifest = CampaignManifest.load(args.directory)
-            requested: list[str] = []
-            seen: set[str] = set()
-            for job in jobs:
-                key = job.key()
-                if key not in seen:
-                    seen.add(key)
-                    requested.append(key)
-            if manifest.keys() != requested:
-                raise UsageError(
-                    f"campaign at {args.directory} exists with a different "
-                    "work list; resume it without sweep flags, or use a "
-                    "fresh directory"
-                )
-
-        if CampaignManifest.path_for(args.directory).exists():
-            _verify_join()
-        else:
-            try:
-                CampaignManifest.create(args.directory, jobs)
-            except UsageError:
-                # Lost the creation race to a concurrently started
-                # worker: join its manifest instead of bailing out.
-                if not CampaignManifest.path_for(args.directory).exists():
-                    raise
-                _verify_join()
+        CampaignManifest.open(args.directory, sweep_jobs(
+            _config(args), args.configs, args.benchmarks, args.seeds,
+            iteration_scale=args.scale))
 
     worker = CampaignWorker(
         args.directory,
@@ -975,22 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="create the campaign manifest (config labels x benchmarks x "
              "seeds) if absent, then work it; rerunning the same command "
              "joins as another worker")
-    crun.add_argument(
-        "--config", choices=sorted(_CONFIGS), default="small",
-        help="architecture configuration (default: small)")
-    crun.add_argument(
-        "--scale", type=float, default=1.0,
-        help="benchmark iteration scale (default: 1.0)")
-    crun.add_argument(
-        "--benchmarks", nargs="*", default=list(PAPER_SUITE),
-        metavar="NAME", help="benchmarks in the sweep (default: the suite)")
-    crun.add_argument(
-        "--seeds", nargs="*", type=int, default=[1], metavar="SEED",
-        help="seeds in the sweep (default: 1)")
-    crun.add_argument(
-        "--configs", nargs="*", default=["baseline"], metavar="LABEL",
-        help="Section IV scaling labels in the sweep (baseline, l1, l2, "
-             "dram, l1+l2, l2+dram; default: baseline)")
+    _add_sweep(crun)
     _add_campaign_worker(crun)
     crun.set_defaults(func=_cmd_campaign)
 
@@ -1057,21 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit a sweep to a running daemon; identical concurrent "
              "submissions coalesce onto one simulation pass")
     _add_service_conn(submit)
-    submit.add_argument(
-        "--config", choices=sorted(_CONFIGS), default="small",
-        help="architecture configuration (default: small)")
-    submit.add_argument(
-        "--scale", type=float, default=1.0,
-        help="benchmark iteration scale (default: 1.0)")
-    submit.add_argument(
-        "--benchmarks", nargs="*", default=list(PAPER_SUITE),
-        metavar="NAME", help="benchmarks in the sweep (default: the suite)")
-    submit.add_argument(
-        "--seeds", nargs="*", type=int, default=[1], metavar="SEED",
-        help="seeds in the sweep (default: 1)")
-    submit.add_argument(
-        "--configs", nargs="*", default=["baseline"], metavar="LABEL",
-        help="Section IV scaling labels in the sweep (default: baseline)")
+    _add_sweep(submit)
     submit.add_argument(
         "--wait", action="store_true",
         help="poll until the submission settles (implied by --out)")

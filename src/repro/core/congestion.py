@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 from repro.sim.engine import DEFAULT_MAX_CYCLES
-from repro.core.metrics import RunMetrics, run_kernel
+from repro.core.metrics import RunMetrics
 from repro.sim.config import GPUConfig
 from repro.utils.means import arithmetic_mean
 from repro.utils.tables import render_table
-from repro.workloads.suite import PAPER_SUITE, get_benchmark
+from repro.workloads.suite import PAPER_SUITE
 from repro.runner import BatchRunner, Job
 
 
@@ -126,25 +126,16 @@ def measure_congestion(
 ) -> CongestionReport:
     """Run the suite on ``config`` and gather the Section III measurements.
 
-    With ``runner``, the per-benchmark runs execute as one batch
-    (parallel and/or cached); results merge back in ``benchmarks`` order
-    regardless of completion order.
+    The per-benchmark runs execute as one batch on ``runner`` (default:
+    :meth:`BatchRunner.serial`); results merge back in ``benchmarks``
+    order regardless of completion order.
     """
     benchmarks = list(benchmarks)
-    if runner is not None:
-        results = runner.run(
-            [
-                Job(config, name, seed=seed, iteration_scale=iteration_scale,
-                    max_cycles=max_cycles)
-                for name in benchmarks
-            ]
-        )
-        runs = dict(zip(benchmarks, results))
-    else:
-        runs = {}
-        for name in benchmarks:
-            kernel = get_benchmark(name, iteration_scale)
-            runs[name] = run_kernel(
-                config, kernel, seed=seed, max_cycles=max_cycles
-            )
-    return CongestionReport(runs=runs)
+    results = (runner or BatchRunner.serial()).run(
+        [
+            Job(config, name, seed=seed, iteration_scale=iteration_scale,
+                max_cycles=max_cycles)
+            for name in benchmarks
+        ]
+    )
+    return CongestionReport(runs=dict(zip(benchmarks, results)))

@@ -124,42 +124,27 @@ def explore_design_space(
     default is the paper's matrix (baseline, each level alone, L1+L2,
     L2+DRAM).
 
-    With ``runner``, the whole (config x benchmark) matrix executes as
-    one batch (parallel and/or cached); results merge back by position,
-    never by completion order.
+    The whole (config x benchmark) matrix executes as one batch on
+    ``runner`` (default: :meth:`BatchRunner.serial`); results merge back
+    by position, never by completion order.
     """
     if configs is None:
         configs = SECTION_IV_CONFIGS
     if "baseline" not in configs:
         configs = {"baseline": (), **configs}
     benchmarks = list(benchmarks)
-    runs: dict[str, dict[str, RunMetrics]] = {}
-    if runner is not None:
-        jobs: list[Job] = []
-        index: list[tuple[str, str]] = []
-        for label, levels in configs.items():
-            scaled = scale_levels(config, levels)
-            for name in benchmarks:
-                jobs.append(
-                    Job(scaled, name, seed=seed,
-                        iteration_scale=iteration_scale, max_cycles=max_cycles)
-                )
-                index.append((label, name))
-        results = runner.run(jobs)
-        for (label, name), metrics in zip(index, results):
-            runs.setdefault(label, {})[name] = metrics
-    else:
-        kernels = {
-            name: get_benchmark(name, iteration_scale) for name in benchmarks
-        }
-        for label, levels in configs.items():
-            scaled = scale_levels(config, levels)
-            runs[label] = {
-                name: run_kernel(
-                    scaled, kernel, seed=seed, max_cycles=max_cycles
-                )
-                for name, kernel in kernels.items()
-            }
+    scaled = [scale_levels(config, levels) for levels in configs.values()]
+    jobs = [
+        Job(cfg, name, seed=seed, iteration_scale=iteration_scale,
+            max_cycles=max_cycles)
+        for cfg in scaled
+        for name in benchmarks
+    ]
+    results = iter((runner or BatchRunner.serial()).run(jobs))
+    runs = {
+        label: {name: next(results) for name in benchmarks}
+        for label in configs
+    }
     return ExplorationResult(
         runs=runs,
         config_labels=tuple(configs),

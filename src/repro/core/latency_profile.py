@@ -22,7 +22,6 @@ from repro.sim.engine import DEFAULT_MAX_CYCLES
 from repro.core.metrics import RunMetrics, run_kernel
 from repro.sim.config import GPUConfig
 from repro.workloads.program import KernelProgram
-from repro.workloads.suite import get_benchmark
 from repro.runner import BatchRunner, Job
 
 #: The paper's x-axis: 0..800 cycles in steps of 50.
@@ -130,46 +129,32 @@ def profile_latency_tolerance(
     shared with the congestion measurement); otherwise the true baseline
     configuration is simulated first.
 
-    With ``runner``, the baseline and every swept point execute as one
-    batch (parallel and/or cached); this requires a suite benchmark
-    *name*, since ad-hoc :class:`KernelProgram` objects cannot cross
-    process boundaries.
+    A suite benchmark *name* runs the baseline and every swept point as
+    one batch on ``runner`` (default: :meth:`BatchRunner.serial`).  An
+    ad-hoc :class:`KernelProgram` runs in-process: its closures cannot
+    cross process boundaries and it has no :class:`Job` key.
     """
     latencies = list(latencies)
-    if runner is not None and isinstance(benchmark, str):
+    configs = [config.with_magic_memory(latency) for latency in latencies]
+    if baseline is None:
+        configs.insert(0, config)
+    if isinstance(benchmark, str):
         name = benchmark
-        jobs = [
-            Job(config.with_magic_memory(latency), benchmark, seed=seed,
-                iteration_scale=iteration_scale, max_cycles=max_cycles)
-            for latency in latencies
-        ]
-        if baseline is None:
-            jobs.insert(
-                0,
-                Job(config, benchmark, seed=seed,
-                    iteration_scale=iteration_scale, max_cycles=max_cycles),
-            )
-            results = runner.run(jobs)
-            baseline, point_metrics = results[0], results[1:]
-        else:
-            point_metrics = runner.run(jobs)
+        results = (runner or BatchRunner.serial()).run(
+            [
+                Job(cfg, benchmark, seed=seed,
+                    iteration_scale=iteration_scale, max_cycles=max_cycles)
+                for cfg in configs
+            ]
+        )
     else:
-        if isinstance(benchmark, str):
-            kernel = get_benchmark(benchmark, iteration_scale)
-        else:
-            kernel = benchmark
-        name = kernel.name
-        if baseline is None:
-            baseline = run_kernel(
-                config, kernel, seed=seed, max_cycles=max_cycles
-            )
-        point_metrics = [
-            run_kernel(
-                config.with_magic_memory(latency), kernel, seed=seed,
-                max_cycles=max_cycles,
-            )
-            for latency in latencies
+        name = benchmark.name
+        results = [
+            run_kernel(cfg, benchmark, seed=seed, max_cycles=max_cycles)
+            for cfg in configs
         ]
+    if baseline is None:
+        baseline, *results = results
     points = [
         LatencyPoint(
             latency=latency,
@@ -177,6 +162,6 @@ def profile_latency_tolerance(
             normalized_ipc=metrics.ipc / baseline.ipc if baseline.ipc else 0.0,
             truncated=metrics.truncated,
         )
-        for latency, metrics in zip(latencies, point_metrics)
+        for latency, metrics in zip(latencies, results)
     ]
     return LatencyProfile(benchmark=name, baseline=baseline, points=tuple(points))

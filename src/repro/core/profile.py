@@ -11,17 +11,21 @@ explains a speedup the way Section IV narrates it: as stall cycles
 *reclaimed* per cause and per blamed stage (where the +59% from L2
 scaling comes from, why L1-alone reclaims nothing).  Config labels come
 from the Section IV matrix (``baseline``, ``l1``, ``l2``, ``dram``,
-``l1+l2``, ``l2+dram``).
+``l1+l2``, ``l2+dram``); :func:`sweep_jobs` expands the same labels
+into the labels x benchmarks x seeds job matrix that campaigns and the
+service run.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any
 
 from repro.core.design_space import scale_levels
 from repro.core.explorer import SECTION_IV_CONFIGS
 from repro.core.metrics import run_kernel
 from repro.errors import UsageError
+from repro.runner.job import Job
 from repro.sim.config import GPUConfig
 from repro.sim.engine import DEFAULT_MAX_CYCLES
 from repro.workloads.suite import get_benchmark
@@ -40,6 +44,29 @@ def config_for_label(config: GPUConfig, label: str) -> GPUConfig:
             + ", ".join(SECTION_IV_CONFIGS)
         ) from None
     return scale_levels(config, levels)
+
+
+def sweep_jobs(
+    base: GPUConfig,
+    labels: Sequence[str],
+    benchmarks: Sequence[str],
+    seeds: Sequence[int],
+    iteration_scale: float = 1.0,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
+) -> list[Job]:
+    """The sweep matrix: Section IV config labels x benchmarks x seeds.
+
+    One definition for ``repro campaign run``, ``repro submit`` and the
+    service's sweep specs, so the same flags name the same jobs.
+    """
+    configs = [config_for_label(base, label) for label in labels]
+    return [
+        Job(config, name, seed=seed, iteration_scale=iteration_scale,
+            max_cycles=max_cycles)
+        for config in configs
+        for name in benchmarks
+        for seed in seeds
+    ]
 
 
 def profile_kernel(

@@ -19,7 +19,6 @@ from repro.runner import BatchRunner, Job
 from repro.sim.config import GPUConfig
 from repro.utils.tables import render_table
 from repro.workloads.program import KernelProgram
-from repro.workloads.suite import get_benchmark
 
 
 @dataclass(frozen=True)
@@ -113,21 +112,22 @@ def replicate(
     iteration_scale: float = 1.0,
     metrics: dict[str, Callable[[RunMetrics], float]] | None = None,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    runner: "BatchRunner | None" = None,
+    runner: BatchRunner | None = None,
 ) -> ReplicationReport:
     """Run a benchmark once per seed and aggregate the chosen metrics.
 
-    With ``runner``, the per-seed runs execute as a batch (parallel and/or
-    cached); this requires a suite benchmark *name*, since ad-hoc
-    :class:`KernelProgram` objects cannot cross process boundaries.
+    A suite benchmark *name* runs the per-seed runs as one batch on
+    ``runner`` (default: :meth:`BatchRunner.serial`).  An ad-hoc
+    :class:`KernelProgram` runs in-process: its closures cannot cross
+    process boundaries and it has no :class:`Job` key.
     """
     # Defensive copy: DEFAULT_METRICS is module-level shared state; an
     # aliasing caller mutating it mid-batch must not change this report.
     metrics = dict(DEFAULT_METRICS if metrics is None else metrics)
     seeds = tuple(seeds)
-    if runner is not None and isinstance(benchmark, str):
+    if isinstance(benchmark, str):
         name = benchmark
-        runs = runner.run(
+        runs = (runner or BatchRunner.serial()).run(
             [
                 Job(config, benchmark, seed=seed,
                     iteration_scale=iteration_scale, max_cycles=max_cycles)
@@ -135,13 +135,9 @@ def replicate(
             ]
         )
     else:
-        if isinstance(benchmark, str):
-            kernel = get_benchmark(benchmark, iteration_scale)
-        else:
-            kernel = benchmark
-        name = kernel.name
+        name = benchmark.name
         runs = [
-            run_kernel(config, kernel, seed=seed, max_cycles=max_cycles)
+            run_kernel(config, benchmark, seed=seed, max_cycles=max_cycles)
             for seed in seeds
         ]
     replications = {

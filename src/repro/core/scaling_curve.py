@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 from repro.sim.engine import DEFAULT_MAX_CYCLES
 from repro.core.design_space import parameters_for_level
-from repro.core.metrics import RunMetrics, run_kernel
+from repro.core.metrics import RunMetrics
 from repro.errors import ConfigError
 from repro.sim.config import GPUConfig
 from repro.utils.means import arithmetic_mean
 from repro.utils.tables import render_table
-from repro.workloads.suite import PAPER_SUITE, get_benchmark
+from repro.workloads.suite import PAPER_SUITE
 from repro.runner import BatchRunner, Job
 
 
@@ -87,37 +87,24 @@ def sweep_scaling_coefficient(
 ) -> ScalingCurve:
     """Run ``level`` at several scaling coefficients over ``benchmarks``.
 
-    With ``runner``, the (factor x benchmark) grid executes as one batch
-    (parallel and/or cached), merged back by position.
+    The (factor x benchmark) grid executes as one batch on ``runner``
+    (default: :meth:`BatchRunner.serial`), merged back by position.
     """
     if 1 not in factors:
         factors = (1, *factors)
     benchmarks = list(benchmarks)
-    runs: dict[int, dict[str, RunMetrics]] = {}
-    if runner is not None:
-        jobs: list[Job] = []
-        index: list[tuple[int, str]] = []
-        for factor in factors:
-            scaled = scale_level_by(config, level, factor)
-            for name in benchmarks:
-                jobs.append(
-                    Job(scaled, name, seed=seed,
-                        iteration_scale=iteration_scale, max_cycles=max_cycles)
-                )
-                index.append((factor, name))
-        results = runner.run(jobs)
-        for (factor, name), metrics in zip(index, results):
-            runs.setdefault(factor, {})[name] = metrics
-    else:
-        kernels = {b: get_benchmark(b, iteration_scale) for b in benchmarks}
-        for factor in factors:
-            scaled = scale_level_by(config, level, factor)
-            runs[factor] = {
-                name: run_kernel(
-                    scaled, kernel, seed=seed, max_cycles=max_cycles
-                )
-                for name, kernel in kernels.items()
-            }
+    scaled = [scale_level_by(config, level, factor) for factor in factors]
+    jobs = [
+        Job(cfg, name, seed=seed, iteration_scale=iteration_scale,
+            max_cycles=max_cycles)
+        for cfg in scaled
+        for name in benchmarks
+    ]
+    results = iter((runner or BatchRunner.serial()).run(jobs))
+    runs = {
+        factor: {name: next(results) for name in benchmarks}
+        for factor in factors
+    }
     return ScalingCurve(level=level, runs=runs)
 
 

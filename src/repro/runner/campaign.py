@@ -155,11 +155,6 @@ class CampaignManifest:
             raise UsageError("a campaign needs at least one job")
         base = _campaign_dir(directory)
         path = cls.path_for(base)
-        if path.exists():
-            raise UsageError(
-                f"campaign manifest already exists at {path}; "
-                "use resume (or a fresh directory)"
-            )
         units: list[WorkUnit] = []
         seen: set[str] = set()
         for job in jobs:
@@ -179,8 +174,8 @@ class CampaignManifest:
         tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
         tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         try:
-            # link (not rename): fails with EEXIST if another creator
-            # won the race, so exactly one manifest ever lands.
+            # link (not rename): fails with EEXIST if a manifest exists
+            # or another creator won the race, so exactly one ever lands.
             os.link(tmp, path)
         except FileExistsError:
             raise UsageError(
@@ -189,6 +184,31 @@ class CampaignManifest:
             ) from None
         finally:
             tmp.unlink(missing_ok=True)
+        return manifest
+
+    @classmethod
+    def open(
+        cls, directory: str | Path, jobs: list[Job] | tuple[Job, ...]
+    ) -> "CampaignManifest":
+        """Create the manifest for ``jobs``, or join an existing one.
+
+        Joining (also after losing the creation race to a concurrently
+        started worker) requires the same deduplicated work list; a
+        different sweep is refused, since its results would not line up.
+        """
+        if not cls.path_for(directory).exists():
+            try:
+                return cls.create(directory, jobs)
+            except UsageError:
+                if not cls.path_for(directory).exists():
+                    raise
+        manifest = cls.load(directory)
+        if manifest.keys() != list(dict.fromkeys(job.key() for job in jobs)):
+            raise UsageError(
+                f"campaign at {directory} exists with a different "
+                "work list; resume it without sweep flags, or use a "
+                "fresh directory"
+            )
         return manifest
 
     @classmethod

@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 from functools import lru_cache
+from numbers import Real
 from pathlib import Path
 
 from repro.core.metrics import RunMetrics, run_kernel
@@ -60,6 +61,16 @@ class Job:
     def __post_init__(self) -> None:
         if not self.kernel_name or not isinstance(self.kernel_name, str):
             raise UsageError("Job.kernel_name must be a suite benchmark name")
+        # Specs arrive from outside (service clients, manifests): a
+        # non-number fails here as a usage error, not inside the run.
+        for name, kind, noun in (
+            ("seed", int, "an integer"),
+            ("max_cycles", int, "an integer"),
+            ("iteration_scale", Real, "a number"),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise UsageError(f"Job.{name} must be {noun}, got {value!r}")
         if self.max_cycles < 1:
             raise UsageError("Job.max_cycles must be >= 1")
         if self.iteration_scale <= 0:

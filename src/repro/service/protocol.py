@@ -30,28 +30,15 @@ import hashlib
 import json
 from typing import Any
 
-from repro.core.profile import config_for_label
+from repro.core.profile import sweep_jobs
 from repro.errors import ReproError
 from repro.runner.job import Job
-from repro.sim.config import (
-    GPUConfig,
-    config_from_dict,
-    fermi_gtx480,
-    small_gpu,
-    tiny_gpu,
-)
+from repro.sim.config import NAMED_CONFIGS, GPUConfig, config_from_dict
 from repro.sim.engine import DEFAULT_MAX_CYCLES
 from repro.workloads.suite import PAPER_SUITE
 
 #: Bumped when the request/response layout changes.
 PROTOCOL_VERSION = 1
-
-#: Named architecture configurations a sweep spec may reference.
-NAMED_CONFIGS = {
-    "small": small_gpu,
-    "fermi": fermi_gtx480,
-    "tiny": tiny_gpu,
-}
 
 #: Machine-readable error codes a response may carry.
 ERROR_CODES = (
@@ -145,13 +132,11 @@ def _base_config(raw: Any) -> GPUConfig:
 
 
 def _sweep_jobs(sweep: dict[str, Any]) -> list[Job]:
-    """The sweep matrix: Section IV config labels x benchmarks x seeds."""
+    """Validate a sweep spec, then expand it through :func:`sweep_jobs`."""
     base = _base_config(sweep.get("config"))
     labels = sweep.get("configs", ["baseline"])
     benchmarks = sweep.get("benchmarks", list(PAPER_SUITE))
     seeds = sweep.get("seeds", [1])
-    scale = sweep.get("scale", 1.0)
-    max_cycles = sweep.get("max_cycles", DEFAULT_MAX_CYCLES)
     for name, value in (
         ("configs", labels), ("benchmarks", benchmarks), ("seeds", seeds)
     ):
@@ -160,18 +145,11 @@ def _sweep_jobs(sweep: dict[str, Any]) -> list[Job]:
                 "bad-request", f"sweep {name!r} must be a non-empty list"
             )
     try:
-        return [
-            Job(
-                config_for_label(base, label),
-                benchmark,
-                seed=seed,
-                iteration_scale=scale,
-                max_cycles=max_cycles,
-            )
-            for label in labels
-            for benchmark in benchmarks
-            for seed in seeds
-        ]
+        return sweep_jobs(
+            base, labels, benchmarks, seeds,
+            iteration_scale=sweep.get("scale", 1.0),
+            max_cycles=sweep.get("max_cycles", DEFAULT_MAX_CYCLES),
+        )
     except ReproError as exc:
         raise ServiceError("bad-request", str(exc)) from exc
 
@@ -258,7 +236,6 @@ def check_spec_types(spec: dict[str, Any]) -> None:
 
 __all__ = [
     "ERROR_CODES",
-    "NAMED_CONFIGS",
     "PROTOCOL_VERSION",
     "ServiceError",
     "build_jobs",

@@ -37,7 +37,7 @@ All config dataclasses are frozen; derive variants with
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -425,3 +425,12 @@ def tiny_gpu() -> GPUConfig:
         dram=DRAMConfig(sched_queue_depth=8, banks=4, t_rcd=4, t_rp=4, t_cas=4),
         n_partitions=2,
     )
+
+
+#: Named architecture configurations (``--config`` / a sweep spec's
+#: ``"config"``), shared by the CLI, campaigns and the service.
+NAMED_CONFIGS: dict[str, Callable[[], GPUConfig]] = {
+    "small": small_gpu,
+    "fermi": fermi_gtx480,
+    "tiny": tiny_gpu,
+}

@@ -39,6 +39,7 @@ from repro.telemetry.timeseries import (
     DEFAULT_MAX_WINDOWS,
     DEFAULT_WINDOW,
     TimeSeriesProbe,
+    WindowedProbe,
     WindowSample,
 )
 from repro.telemetry.tracer import (
@@ -59,6 +60,7 @@ __all__ = [
     "AttributionWindow",
     "RequestTracer",
     "TimeSeriesProbe",
+    "WindowedProbe",
     "WindowSample",
     "hop_track",
 ]

@@ -38,19 +38,23 @@ cycle to the deepest congested stage:
   downstream: raw fill latency, not queueing (the magic-memory case).
 
 Like :class:`~repro.telemetry.timeseries.TimeSeriesProbe`, the probe is a
+:class:`~repro.telemetry.timeseries.WindowedProbe`: a
 :class:`~repro.sim.engine.Simulator` observer that only works at window
-boundaries, keeps a bounded ring of windows, and accumulates exact
+boundaries and keeps a bounded ring of windows.  It accumulates exact
 run-level totals separately so dropped windows never skew the final
 blame vector.  Attaching it never changes simulated behaviour.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import UsageError
-from repro.telemetry.timeseries import DEFAULT_MAX_WINDOWS, DEFAULT_WINDOW
+from repro.telemetry.timeseries import (
+    DEFAULT_MAX_WINDOWS,
+    DEFAULT_WINDOW,
+    WindowedProbe,
+)
 
 #: Downstream-congestion fraction above which a stage takes the blame.
 DEFAULT_BLAME_THRESHOLD = 0.25
@@ -99,7 +103,7 @@ class AttributionWindow:
         }
 
 
-class AttributionProbe:
+class AttributionProbe(WindowedProbe[AttributionWindow]):
     """Windowed cycle accounting + blame chains over a simulator.
 
     Parameters
@@ -117,6 +121,8 @@ class AttributionProbe:
         Minimum windowed congestion fraction for a stage to take blame.
     """
 
+    _kind = "attribution"
+
     def __init__(
         self,
         sim,
@@ -125,32 +131,15 @@ class AttributionProbe:
         max_windows: int = DEFAULT_MAX_WINDOWS,
         blame_threshold: float = DEFAULT_BLAME_THRESHOLD,
     ) -> None:
-        if window < 1:
-            raise UsageError(f"attribution window must be >= 1, got {window}")
-        if max_windows < 1:
-            raise UsageError(
-                f"attribution max_windows must be >= 1, got {max_windows}"
-            )
+        super().__init__(sim, window=window, max_windows=max_windows)
         if not 0.0 < blame_threshold <= 1.0:
             raise UsageError(
                 "blame_threshold must be in (0, 1], got "
                 f"{blame_threshold}"
             )
-        self._sim = sim
-        self.window = window
-        self.max_windows = max_windows
         self.blame_threshold = blame_threshold
-        self._windows: deque[AttributionWindow] = deque(maxlen=max_windows)
-        #: Windows evicted from the ring buffer (oldest first).
-        self.dropped = 0
-        self._window_start = 0
-        self._index = 0
-        self._finalized = False
-        self._scanned = False
         #: Components exposing a cycle-class partition (the SMs).
         self._accounted: list = []
-        #: Components exposing per-cause stall counters.
-        self._stall_sources: list = []
         #: family -> [StatQueue, ...] for the blame-chain evidence.
         self._queues: dict[str, list] = {}
         # Cumulative snapshots at the previous window boundary.
@@ -163,56 +152,13 @@ class AttributionProbe:
         self._stall_totals: dict[str, int] = {}
         self._blame_totals: dict[str, int] = {stage: 0 for stage in BLAME_STAGES}
 
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def attach(
-        cls,
-        gpu,
-        *,
-        window: int = DEFAULT_WINDOW,
-        max_windows: int = DEFAULT_MAX_WINDOWS,
-        blame_threshold: float = DEFAULT_BLAME_THRESHOLD,
-    ) -> "AttributionProbe":
-        """Attach a new probe to a built (not yet run) GPU model."""
-        probe = cls(
-            gpu.sim,
-            window=window,
-            max_windows=max_windows,
-            blame_threshold=blame_threshold,
-        )
-        gpu.sim.attach_observer(probe)
-        return probe
-
     def _scan(self) -> None:
         """Discover instrumented components through the hooks."""
         for component in self._sim.components:
             if component.inspect_cycle_classes():
                 self._accounted.append(component)
-            for _cause, _cycles in component.sample_stalls():
-                self._stall_sources.append(component)
-                break
             for family, queue in component.sample_queues():
                 self._queues.setdefault(family, []).append(queue)
-        self._scanned = True
-
-    # ------------------------------------------------------------------
-    # observer protocol
-    # ------------------------------------------------------------------
-    def on_cycle(self, now: int) -> None:
-        """Engine hook: capture a window at each boundary."""
-        boundary = now + 1  # the engine has already advanced past ``now``
-        if boundary % self.window:
-            return
-        self._capture(boundary)
-
-    def on_finalize(self, now: int) -> None:
-        """Engine hook: close the final (possibly partial) window."""
-        if self._finalized:
-            return
-        self._finalized = True
-        self._capture(now)
 
     # ------------------------------------------------------------------
     # the capture itself
@@ -254,13 +200,7 @@ class AttributionProbe:
         self._prev_queue_full[family] = full
         return (full - prev) / (length * len(queues))
 
-    def _capture(self, boundary: int) -> None:
-        if not self._scanned:
-            self._scan()
-        length = boundary - self._window_start
-        if length <= 0:
-            return
-
+    def _measure(self, boundary: int, length: int) -> AttributionWindow:
         # --- cycle-class deltas -----------------------------------------
         class_now = self._read_classes()
         classes = {
@@ -314,31 +254,20 @@ class AttributionProbe:
         for stage, stalled in blame.items():
             self._blame_totals[stage] += stalled
 
-        if len(self._windows) == self.max_windows:
-            self.dropped += 1  # deque evicts the oldest on append
-        self._windows.append(
-            AttributionWindow(
-                index=self._index,
-                start=self._window_start,
-                end=boundary,
-                sm_cycles=sm_cycles,
-                classes=classes,
-                stalls=stalls,
-                signals=signals,
-                blame=blame,
-            )
+        return AttributionWindow(
+            index=self._index,
+            start=self._window_start,
+            end=boundary,
+            sm_cycles=sm_cycles,
+            classes=classes,
+            stalls=stalls,
+            signals=signals,
+            blame=blame,
         )
-        self._index += 1
-        self._window_start = boundary
 
     # ------------------------------------------------------------------
     # reading the results
     # ------------------------------------------------------------------
-    @property
-    def windows(self) -> list[AttributionWindow]:
-        """Retained windows, oldest first."""
-        return list(self._windows)
-
     def class_totals(self) -> dict[str, int]:
         """Run-level class counts (``"cycles"`` plus the partition)."""
         return dict(self._class_totals)

@@ -30,12 +30,17 @@ so arbitrarily long runs hold O(max_windows) memory.  Because windows
 store cycle *deltas*, the retained windows always reconcile exactly with
 the difference of the cumulative aggregates at their two edges — the
 property the telemetry tests pin down.
+
+The window loop itself (boundaries, ring buffer, ``dropped``) is
+:class:`WindowedProbe`, which
+:class:`~repro.telemetry.attribution.AttributionProbe` shares.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Generic, TypeVar
 
 from repro.errors import UsageError
 
@@ -43,6 +48,9 @@ from repro.errors import UsageError
 DEFAULT_WINDOW = 2_000
 #: Default ring-buffer capacity, in windows.
 DEFAULT_MAX_WINDOWS = 512
+
+#: The per-window record type a :class:`WindowedProbe` retains.
+WindowT = TypeVar("WindowT")
 
 
 @dataclass(frozen=True)
@@ -101,20 +109,30 @@ class WindowSample:
         }
 
 
-class TimeSeriesProbe:
-    """Samples windowed telemetry at cycle boundaries.
+class WindowedProbe(Generic[WindowT]):
+    """The window loop shared by the cycle-windowed observers.
+
+    Owns everything about windows except what is measured in them: the
+    ``window`` / ``max_windows`` validation, the engine hooks that close
+    a window at each ``window``-cycle boundary and a final partial one at
+    finalize, and the ring buffer with its :attr:`dropped` count.
+    Subclasses implement :meth:`_scan`, which discovers instruments once
+    before the first capture, and :meth:`_measure`, which returns the
+    record of the window ending at ``boundary``.
 
     Parameters
     ----------
     sim:
-        The simulator whose components are sampled (through the
-        ``sample_*`` hooks of :class:`~repro.sim.component.Component`).
+        The simulator whose components are read.
     window:
         Window length in core cycles.
     max_windows:
         Ring-buffer depth; when exceeded, the oldest window is dropped
         and counted in :attr:`dropped`.
     """
+
+    #: Noun naming the probe in validation errors.
+    _kind = "telemetry"
 
     def __init__(
         self,
@@ -124,59 +142,36 @@ class TimeSeriesProbe:
         max_windows: int = DEFAULT_MAX_WINDOWS,
     ) -> None:
         if window < 1:
-            raise UsageError(f"telemetry window must be >= 1, got {window}")
+            raise UsageError(f"{self._kind} window must be >= 1, got {window}")
         if max_windows < 1:
             raise UsageError(
-                f"telemetry max_windows must be >= 1, got {max_windows}"
+                f"{self._kind} max_windows must be >= 1, got {max_windows}"
             )
         self._sim = sim
         self.window = window
         self.max_windows = max_windows
-        self._windows: deque[WindowSample] = deque(maxlen=max_windows)
+        self._windows: deque[WindowT] = deque(maxlen=max_windows)
         #: Windows evicted from the ring buffer (oldest first).
         self.dropped = 0
         self._window_start = 0
         self._index = 0
         self._finalized = False
         self._scanned = False
-        #: family -> [StatQueue, ...] discovered through sample_queues.
-        self._queues: dict[str, list] = {}
-        #: family -> [MSHRTable, ...] discovered through sample_mshrs.
-        self._mshrs: dict[str, list] = {}
-        #: counter name -> number of components publishing it.
-        self._counter_sources: dict[str, int] = {}
-        # Cumulative snapshots at the previous window boundary.
-        self._prev_queue: dict[str, tuple[int, int, int, int]] = {}
-        self._prev_counters: dict[str, float] = {}
 
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
     @classmethod
-    def attach(
-        cls,
-        gpu,
-        *,
-        window: int = DEFAULT_WINDOW,
-        max_windows: int = DEFAULT_MAX_WINDOWS,
-    ) -> "TimeSeriesProbe":
-        """Attach a new probe to a built (not yet run) GPU model."""
-        probe = cls(gpu.sim, window=window, max_windows=max_windows)
+    def attach(cls, gpu, **options):
+        """Attach a new probe (constructor ``options``) to a built GPU."""
+        probe = cls(gpu.sim, **options)
         gpu.sim.attach_observer(probe)
         return probe
 
     def _scan(self) -> None:
-        """Discover instruments through the components' sample hooks."""
-        for component in self._sim.components:
-            for family, queue in component.sample_queues():
-                self._queues.setdefault(family, []).append(queue)
-            for family, table in component.sample_mshrs():
-                self._mshrs.setdefault(family, []).append(table)
-            for name, _value in component.sample_counters():
-                self._counter_sources[name] = (
-                    self._counter_sources.get(name, 0) + 1
-                )
-        self._scanned = True
+        """Discover instruments through the components' hooks."""
+        raise NotImplementedError
+
+    def _measure(self, boundary: int, length: int) -> WindowT:
+        """Record of the ``length``-cycle window ending at ``boundary``."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # observer protocol
@@ -195,6 +190,54 @@ class TimeSeriesProbe:
         self._finalized = True
         self._capture(now)
 
+    def _capture(self, boundary: int) -> None:
+        if not self._scanned:
+            self._scan()
+            self._scanned = True
+        length = boundary - self._window_start
+        if length <= 0:
+            return
+        record = self._measure(boundary, length)
+        if len(self._windows) == self.max_windows:
+            self.dropped += 1  # deque evicts the oldest on append
+        self._windows.append(record)
+        self._index += 1
+        self._window_start = boundary
+
+    @property
+    def windows(self) -> list[WindowT]:
+        """Retained windows, oldest first."""
+        return list(self._windows)
+
+
+class TimeSeriesProbe(WindowedProbe[WindowSample]):
+    """Samples windowed telemetry at cycle boundaries (see
+    :class:`WindowedProbe` for the window parameters)."""
+
+    def __init__(self, sim, **options) -> None:
+        super().__init__(sim, **options)
+        #: family -> [StatQueue, ...] discovered through sample_queues.
+        self._queues: dict[str, list] = {}
+        #: family -> [MSHRTable, ...] discovered through sample_mshrs.
+        self._mshrs: dict[str, list] = {}
+        #: counter name -> number of components publishing it.
+        self._counter_sources: dict[str, int] = {}
+        # Cumulative snapshots at the previous window boundary.
+        self._prev_queue: dict[str, tuple[int, int, int, int]] = {}
+        self._prev_counters: dict[str, float] = {}
+
+    def _scan(self) -> None:
+        """Discover instruments through the components' sample hooks."""
+        for component in self._sim.components:
+            for family, queue in component.sample_queues():
+                self._queues.setdefault(family, []).append(queue)
+            for family, table in component.sample_mshrs():
+                self._mshrs.setdefault(family, []).append(table)
+            for name, _value in component.sample_counters():
+                self._counter_sources[name] = (
+                    self._counter_sources.get(name, 0) + 1
+                )
+
     # ------------------------------------------------------------------
     # the capture itself
     # ------------------------------------------------------------------
@@ -205,13 +248,7 @@ class TimeSeriesProbe:
                 totals[name] = totals.get(name, 0) + value
         return totals
 
-    def _capture(self, boundary: int) -> None:
-        if not self._scanned:
-            self._scan()
-        length = boundary - self._window_start
-        if length <= 0:
-            return
-
+    def _measure(self, boundary: int, length: int) -> WindowSample:
         full_cycles: dict[str, int] = {}
         busy_cycles: dict[str, int] = {}
         full_fraction: dict[str, float] = {}
@@ -259,37 +296,26 @@ class TimeSeriesProbe:
             else 0.0
         )
 
-        if len(self._windows) == self.max_windows:
-            self.dropped += 1  # deque evicts the oldest on append
-        self._windows.append(
-            WindowSample(
-                index=self._index,
-                start=self._window_start,
-                end=boundary,
-                ipc=deltas.get("instructions", 0) / length,
-                queue_full_cycles=full_cycles,
-                queue_busy_cycles=busy_cycles,
-                queue_full_fraction=full_fraction,
-                queue_busy_fraction=busy_fraction,
-                queue_depth=depth,
-                queue_rejections=rejections,
-                queue_pushes=pushes,
-                mshr_occupancy=mshr_occupancy,
-                dram_bus_utilization=bus_util,
-                counters=deltas,
-            )
+        return WindowSample(
+            index=self._index,
+            start=self._window_start,
+            end=boundary,
+            ipc=deltas.get("instructions", 0) / length,
+            queue_full_cycles=full_cycles,
+            queue_busy_cycles=busy_cycles,
+            queue_full_fraction=full_fraction,
+            queue_busy_fraction=busy_fraction,
+            queue_depth=depth,
+            queue_rejections=rejections,
+            queue_pushes=pushes,
+            mshr_occupancy=mshr_occupancy,
+            dram_bus_utilization=bus_util,
+            counters=deltas,
         )
-        self._index += 1
-        self._window_start = boundary
 
     # ------------------------------------------------------------------
     # reading the series
     # ------------------------------------------------------------------
-    @property
-    def windows(self) -> list[WindowSample]:
-        """Retained windows, oldest first."""
-        return list(self._windows)
-
     @property
     def queue_families(self) -> list[str]:
         """Family labels in component-registration order."""

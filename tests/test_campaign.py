@@ -109,6 +109,38 @@ class TestManifest:
         with pytest.raises(UsageError, match="no campaign manifest"):
             CampaignManifest.load(tmp_path / "nowhere")
 
+    def test_open_creates_in_empty_directory(self, tmp_path):
+        jobs = [_job(seed=s) for s in (1, 2)]
+        manifest = CampaignManifest.open(tmp_path / "camp", jobs)
+        assert CampaignManifest.path_for(tmp_path / "camp").exists()
+        assert manifest.keys() == [j.key() for j in jobs]
+
+    def test_open_again_with_same_jobs_joins(self, tmp_path):
+        jobs = [_job(seed=s) for s in (1, 2)]
+        created = CampaignManifest.open(tmp_path / "camp", jobs)
+        joined = CampaignManifest.open(tmp_path / "camp", jobs)
+        assert joined.keys() == created.keys()
+
+    def test_open_joins_after_losing_the_create_race(
+        self, tmp_path, monkeypatch
+    ):
+        jobs = [_job(seed=s) for s in (1, 2)]
+        create = CampaignManifest.create.__func__
+
+        def lose_race(cls, directory, race_jobs):
+            create(cls, directory, race_jobs)  # a rival worker lands first
+            return create(cls, directory, race_jobs)
+
+        monkeypatch.setattr(
+            CampaignManifest, "create", classmethod(lose_race))
+        manifest = CampaignManifest.open(tmp_path / "camp", jobs)
+        assert manifest.keys() == [j.key() for j in jobs]
+
+    def test_open_refuses_a_different_work_list(self, tmp_path):
+        CampaignManifest.open(tmp_path / "camp", [_job(seed=1)])
+        with pytest.raises(UsageError, match="different work list"):
+            CampaignManifest.open(tmp_path / "camp", [_job(seed=2)])
+
     def test_workunit_payload_roundtrip(self):
         unit = WorkUnit(key=_job().key(), job=_job())
         clone = WorkUnit.from_payload(unit.to_payload())

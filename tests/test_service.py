@@ -79,6 +79,8 @@ class TestProtocol:
             {"jobs": []},  # empty
             {"sweep": {"benchmarks": []}},  # empty sweep axis
             {"sweep": {"config": "warehouse-scale"}},  # unknown name
+            {"sweep": {"seeds": ["x"]}},  # non-integer seed
+            {"sweep": {"max_cycles": "x"}},  # non-integer cycle budget
         ):
             with pytest.raises(ServiceError) as err:
                 build_jobs(bad)
