@@ -1,0 +1,73 @@
+"""Golden metrics: pinned results for a fixed matrix of runs.
+
+Every ``PAPER_SUITE`` benchmark at scale 0.1, seed 1, runs on ``tiny_gpu()``
+under nine configurations that between them reach every simulator layer
+and its alternatives (Section IV scaling, magic memory, ring topology,
+GTO and FCFS schedulers, DRAM refresh, L1 write-back, TLP throttling).
+Each run's JSON export is hashed and compared with
+``tests/fixtures/golden_metrics.json``, so any change to any exported
+metric of any run fails here and names the runs that moved.
+
+The fixture records the model's behaviour; a refactor must pass it
+unchanged.  Only a deliberate change to the model's behaviour may rewrite
+it, by running this file as a script::
+
+    PYTHONPATH=src python tests/test_golden_metrics.py > tests/fixtures/golden_metrics.json
+"""
+
+import hashlib
+import json
+from dataclasses import replace
+from pathlib import Path
+
+from repro.core.export import runs_to_text
+from repro.core.metrics import run_kernel
+from repro.core.profile import config_for_label
+from repro.sim.config import tiny_gpu
+from repro.workloads.suite import PAPER_SUITE, get_benchmark
+
+FIXTURE = Path(__file__).parent / "fixtures" / "golden_metrics.json"
+SCALE = 0.1
+SEED = 1
+
+
+def _variants():
+    base = tiny_gpu()
+    return {
+        "baseline": config_for_label(base, "baseline"),
+        "l2+dram": config_for_label(base, "l2+dram"),
+        "magic200": base.with_magic_memory(200),
+        "ring": replace(base, icnt=replace(base.icnt, topology="ring")),
+        "gto": replace(base, core=replace(base.core, scheduler="gto")),
+        "fcfs": replace(base, dram=replace(base.dram, scheduler="fcfs")),
+        "refresh": replace(base, dram=replace(
+            base.dram, refresh_interval=500, refresh_cycles=20)),
+        "l1_write_back": replace(
+            base, l1=replace(base.l1, write_policy="write_back")),
+        "warp_limit2": replace(
+            base, core=replace(base.core, active_warp_limit=2)),
+    }
+
+
+def golden_digests():
+    """``"<variant>/<benchmark>"`` -> sha256 prefix of the run's JSON export."""
+    digests = {}
+    for variant, config in _variants().items():
+        for name in PAPER_SUITE:
+            run = run_kernel(config, get_benchmark(name, SCALE), seed=SEED)
+            text = runs_to_text([run], "json")
+            digests[f"{variant}/{name}"] = (
+                hashlib.sha256(text.encode()).hexdigest()[:16])
+    return digests
+
+
+def test_metrics_match_golden_fixture():
+    expected = json.loads(FIXTURE.read_text())
+    actual = golden_digests()
+    assert sorted(actual) == sorted(expected)
+    moved = sorted(key for key in expected if actual[key] != expected[key])
+    assert not moved, f"{len(moved)} run(s) changed metrics: {moved}"
+
+
+if __name__ == "__main__":
+    print(json.dumps(golden_digests(), indent=2, sort_keys=True))
