@@ -14,7 +14,7 @@ itself and the layers beneath it:
                 cores              (SM, warps, coalescer)
                   cache, dram, icnt  (memory-system components)
                     mem            (requests, queues, pipes, addressing)
-                      sim          (engine, clocks, Component, config)
+                      sim          (engine, Component, config)
                         utils      (stats, tables, export helpers)
                           errors   (exception hierarchy)
 

@@ -1,16 +1,11 @@
-"""Cache models: tag arrays, replacement policies, MSHRs, L1D and L2 slices."""
+"""Cache models: LRU tag arrays, MSHRs, L1D and L2 slices."""
 
-from repro.cache.replacement import FIFOPolicy, LRUPolicy, PLRUPolicy, make_policy
 from repro.cache.tag_array import LineState, TagArray
 from repro.cache.mshr import MSHRTable
 from repro.cache.l1 import L1DCache
 from repro.cache.l2 import L2Slice
 
 __all__ = [
-    "FIFOPolicy",
-    "LRUPolicy",
-    "PLRUPolicy",
-    "make_policy",
     "LineState",
     "TagArray",
     "MSHRTable",

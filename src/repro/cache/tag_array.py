@@ -9,6 +9,9 @@ be evicted — if every candidate way of a set is reserved, the controller
 suffers a *reservation failure* and must retry, which is one of the
 resource-contention effects the paper calls out ("prolonged contention of
 cache resources such as MSHRs and replaceable cache lines").
+
+Replacement is LRU, the GPGPU-Sim / paper baseline, tracked with per-way
+last-use stamps written on every hit and fill.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import ConfigError, SimulationError
-from repro.cache.replacement import make_policy
 from repro.utils.stats import RatioStat
 
 
@@ -46,13 +48,7 @@ class Eviction:
 class TagArray:
     """Tags + state for one cache; indexed by line index."""
 
-    def __init__(
-        self,
-        name: str,
-        n_sets: int,
-        assoc: int,
-        policy: str = "lru",
-    ) -> None:
+    def __init__(self, name: str, n_sets: int, assoc: int) -> None:
         if n_sets < 1 or n_sets & (n_sets - 1):
             raise ConfigError(f"{name}: n_sets must be a power of two, got {n_sets}")
         if assoc < 1:
@@ -65,14 +61,8 @@ class TagArray:
         #: per-access probe is a dict lookup instead of a way scan.
         #: Maintained by reserve/fill/invalidate (the only tag mutators).
         self._tag_map: list[dict[int, int]] = [{} for _ in range(n_sets)]
-        self._policy = make_policy(policy, n_sets, assoc)
-        #: Per-set recency/insertion stamp rows when the policy ranks ways
-        #: by a plain stamp (LRU/FIFO): lets :meth:`_allocate` pick the
-        #: victim during its way scan instead of gathering candidates for a
-        #: policy callback.  None for structural policies (PLRU).
-        self._stamp_rows = getattr(self._policy, "_last_use", None)
-        if self._stamp_rows is None:
-            self._stamp_rows = getattr(self._policy, "_installed", None)
+        #: Per-set, per-way cycle of the last hit or fill (LRU stamps).
+        self._last_use = [[-1] * assoc for _ in range(n_sets)]
         self.lookups = RatioStat(f"{name}.hit_rate")
         #: Reservation failures (all candidate ways of a set reserved).
         self.reservation_fails: int = 0
@@ -80,9 +70,6 @@ class TagArray:
     # ------------------------------------------------------------------
     # indexing helpers
     # ------------------------------------------------------------------
-    def set_index(self, line: int) -> int:
-        return line & (self.n_sets - 1)
-
     def _find(self, line: int) -> tuple[int, int | None]:
         set_idx = line & (self.n_sets - 1)
         return set_idx, self._tag_map[set_idx].get(line)
@@ -95,7 +82,7 @@ class TagArray:
 
         A RESERVED match is *not* a hit (the data has not arrived), but the
         caller can detect it via :meth:`state_of` to merge into an MSHR.
-        Updates replacement state and the hit-rate statistic on hits.
+        Updates the way's LRU stamp and the hit-rate statistic on hits.
         """
         set_idx, way_idx = self._find(line)
         hit = way_idx is not None and (
@@ -107,7 +94,7 @@ class TagArray:
             else:
                 self.lookups.miss()
         if hit:
-            self._policy.on_access(set_idx, way_idx, now)
+            self._last_use[set_idx][way_idx] = now
         return hit
 
     def state_of(self, line: int) -> LineState:
@@ -127,50 +114,29 @@ class TagArray:
     def _allocate(self, set_idx: int, line: int) -> tuple[int, Eviction | None] | None:
         """Claim a way for ``line`` in RESERVED state; None when every way
         is reserved.  Single pass: stops at the first INVALID way, else
-        picks the policy victim among the VALID ways gathered en route."""
+        evicts the least recently used VALID way (strict <, so the first
+        minimum wins ties)."""
         ways = self._sets[set_idx]
+        stamps = self._last_use[set_idx]
         victim_idx = None
         evicted = None
-        stamp_rows = self._stamp_rows
-        if stamp_rows is not None:
-            # Stamp-ranked policy (LRU/FIFO): fold victim selection into
-            # the way scan.  Strict < keeps min()'s first-minimum tie-break.
-            stamps = stamp_rows[set_idx]
-            best_idx = None
-            best_stamp = 0
-            for way_idx, way in enumerate(ways):
-                state = way.state
-                if state is LineState.INVALID:
+        best_stamp = 0
+        for way_idx, way in enumerate(ways):
+            state = way.state
+            if state is LineState.INVALID:
+                victim_idx = way_idx
+                break
+            if state is LineState.VALID:
+                stamp = stamps[way_idx]
+                if victim_idx is None or stamp < best_stamp:
                     victim_idx = way_idx
-                    break
-                if state is LineState.VALID:
-                    stamp = stamps[way_idx]
-                    if best_idx is None or stamp < best_stamp:
-                        best_idx = way_idx
-                        best_stamp = stamp
-            else:
-                if best_idx is None:
-                    return None
-                victim_idx = best_idx
-                victim = ways[victim_idx]
-                evicted = Eviction(line=victim.tag, dirty=victim.dirty)
-                del self._tag_map[set_idx][victim.tag]
+                    best_stamp = stamp
         else:
-            candidates: list[int] = []
-            for way_idx, way in enumerate(ways):
-                state = way.state
-                if state is LineState.INVALID:
-                    victim_idx = way_idx
-                    break
-                if state is LineState.VALID:
-                    candidates.append(way_idx)
             if victim_idx is None:
-                if not candidates:
-                    return None
-                victim_idx = self._policy.victim(set_idx, candidates)
-                victim = ways[victim_idx]
-                evicted = Eviction(line=victim.tag, dirty=victim.dirty)
-                del self._tag_map[set_idx][victim.tag]
+                return None
+            victim = ways[victim_idx]
+            evicted = Eviction(line=victim.tag, dirty=victim.dirty)
+            del self._tag_map[set_idx][victim.tag]
         way = ways[victim_idx]
         way.tag = line
         way.state = LineState.RESERVED
@@ -183,8 +149,7 @@ class TagArray:
 
         Returns ``False`` on reservation failure (every way reserved),
         otherwise the :class:`Eviction` displaced (or None).  The victim is
-        chosen by the replacement policy among non-reserved ways, preferring
-        invalid ways.
+        the least recently used non-reserved way, preferring invalid ways.
         """
         result = self._allocate(line & (self.n_sets - 1), line)
         if result is None:
@@ -212,7 +177,7 @@ class TagArray:
         way = self._sets[set_idx][way_idx]
         way.state = LineState.VALID
         way.dirty = dirty
-        self._policy.on_fill(set_idx, way_idx, now)
+        self._last_use[set_idx][way_idx] = now
         return evicted
 
     def invalidate(self, line: int) -> bool:

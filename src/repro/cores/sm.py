@@ -311,8 +311,7 @@ class SM(Component):
         round-robin with no other state change, so the whole window can
         be replayed arithmetically by :meth:`_replay_burst`.  The window
         ends strictly before any warp would need to fetch.  Returns 0
-        when the next cycle must step normally.  (Assumes the SM ticks on
-        the core clock, as :class:`repro.gpu.GPU` registers it.)
+        when the next cycle must step normally.
         """
         queue = self._lrr_queue
         if queue is None:

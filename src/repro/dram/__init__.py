@@ -1,12 +1,11 @@
-"""DRAM channel model: bank state machines, scheduling policies, controller."""
+"""DRAM channel model: flat bank state, scheduling policies, controller."""
 
-from repro.dram.bankstate import BankFile, BankState
+from repro.dram.bankstate import BankFile
 from repro.dram.scheduler import FCFSScheduler, FRFCFSScheduler, make_scheduler
 from repro.dram.controller import DRAMChannel
 
 __all__ = [
     "BankFile",
-    "BankState",
     "FCFSScheduler",
     "FRFCFSScheduler",
     "make_scheduler",

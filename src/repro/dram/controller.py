@@ -52,10 +52,8 @@ class DRAMChannel(Component):
         self.return_queue: StatQueue[MemoryRequest] = StatQueue(
             f"{name}.return_queue", cfg.return_queue_depth
         )
-        #: Flat per-bank timing vectors (the per-cycle scan structure);
-        #: ``self.banks`` exposes the per-bank object views.
+        #: Flat per-bank timing vectors and row-outcome counters.
         self.bank_file = BankFile(cfg.banks)
-        self.banks = self.bank_file.views
         self._scheduler = make_scheduler(cfg.scheduler)
         self._transfer_cycles = config.dram_transfer_cycles
         self._bus_free_at = 0
@@ -266,10 +264,11 @@ class DRAMChannel(Component):
 
     @property
     def row_hit_rate(self) -> float:
-        total = sum(b.accesses for b in self.banks)
-        hits = sum(b.row_hits for b in self.banks)
-        return hits / total if total else 0.0
+        total = self.total_accesses
+        return sum(self.bank_file.row_hits) / total if total else 0.0
 
     @property
     def total_accesses(self) -> int:
-        return sum(b.accesses for b in self.banks)
+        banks = self.bank_file
+        return (sum(banks.row_hits) + sum(banks.row_conflicts)
+                + sum(banks.row_closed))

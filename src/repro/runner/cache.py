@@ -25,12 +25,10 @@ are built on:
   deltas (plus a legacy ``_usage.json`` base, if present).  The counters
   stay advisory: a corrupt or missing sidecar never affects correctness,
   and :meth:`ResultCache.clear` resets them.
-* Every :meth:`put` appends a record to an ``_index.jsonl`` sidecar
-  (key, payload size, store timestamp); :meth:`index` folds it against
-  the directory.  With ``max_bytes`` set the store is size-bounded:
-  :meth:`put` evicts least-recently-used entries (file mtime — refreshed
-  on every :meth:`get` hit) until the store fits, never evicting the
-  entry just written.
+* With ``max_bytes`` set the store is size-bounded: :meth:`put` evicts
+  least-recently-used entries (file mtime — refreshed on every
+  :meth:`get` hit) until the store fits, never evicting the entry just
+  written.
 * Campaigns treat *store entry presence* as the done-authority (see
   :mod:`repro.runner.campaign`), so eviction must never silently undo a
   completed unit: ``protect_keys`` names keys (directly or through a
@@ -44,10 +42,9 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import time
 from collections.abc import Callable, Collection, Iterable
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from repro.core.metrics import RunMetrics
 
@@ -60,6 +57,8 @@ CACHE_FORMAT = 1
 #: Sidecar files (never counted as cache entries).
 USAGE_NAME = "_usage.json"
 USAGE_DELTAS_NAME = "_usage_deltas.jsonl"
+#: Per-put index that earlier stores wrote; :meth:`ResultCache.clear`
+#: still sweeps a leftover one.
 INDEX_NAME = "_index.jsonl"
 
 
@@ -180,15 +179,7 @@ class ResultCache:
                 handle,
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
-        size = tmp.stat().st_size
         tmp.replace(path)
-        try:
-            _append_jsonl(
-                self.directory / INDEX_NAME,
-                {"key": key, "bytes": size, "ts": round(time.time(), 3)},  # noqa: REP001 - store bookkeeping, not simulated time
-            )
-        except OSError:
-            pass  # the index is advisory; the entry itself landed
         if self.max_bytes is not None:
             self.evict(self.max_bytes, protect=key)
 
@@ -223,24 +214,6 @@ class ResultCache:
         for name in (USAGE_NAME, USAGE_DELTAS_NAME, INDEX_NAME):
             self._discard(self.directory / name)
         return removed
-
-    def index(self) -> dict[str, dict[str, Any]]:
-        """Fold ``_index.jsonl`` against the directory: key -> metadata.
-
-        Keys whose entry file has vanished (evicted, cleared, discarded
-        as corrupt) are dropped; the newest record per key wins.
-        """
-        folded: dict[str, dict[str, Any]] = {}
-        for record in _read_jsonl(self.directory / INDEX_NAME):
-            key = record.get("key")
-            if isinstance(key, str):
-                folded[key] = {
-                    "bytes": record.get("bytes"), "ts": record.get("ts")
-                }
-        return {
-            key: meta for key, meta in folded.items()
-            if self.contains(key)
-        }
 
     def evict(
         self, max_bytes: int, protect: str | Iterable[str] | None = None

@@ -1,7 +1,6 @@
-"""Cycle-level simulation kernel: components, clocks, engine, configuration."""
+"""Cycle-level simulation kernel: components, engine, configuration."""
 
 from repro.sim.component import Component
-from repro.sim.clock import ClockDomain
 from repro.sim.engine import Simulator
 from repro.sim.config import (
     CoreConfig,
@@ -16,7 +15,6 @@ from repro.sim.config import (
 
 __all__ = [
     "Component",
-    "ClockDomain",
     "Simulator",
     "CoreConfig",
     "DRAMConfig",

@@ -1,9 +1,9 @@
 """Component protocol for the cycle-driven simulator.
 
-A component is anything stepped once per (its clock domain's) cycle.  The
-engine calls :meth:`Component.step` with the current core-clock cycle; the
-component performs one cycle of work — popping input queues, advancing
-pipelines, pushing output queues — and returns.  Back-pressure is expressed
+A component is anything stepped once per core cycle.  The engine calls
+:meth:`Component.step` with the current cycle; the component performs one
+cycle of work — popping input queues, advancing pipelines, pushing output
+queues — and returns.  Back-pressure is expressed
 purely through finite queues: a component that cannot push its output simply
 leaves the item where it is and retries on a later cycle.
 
@@ -53,7 +53,7 @@ class Component:
     name: str = "component"
 
     def step(self, now: int) -> None:
-        """Advance the component by one cycle (core-clock cycle ``now``)."""
+        """Advance the component by one cycle (cycle ``now``)."""
         raise NotImplementedError
 
     def finalize(self, now: int) -> None:
@@ -87,11 +87,10 @@ class Component:
         return None
 
     def fast_forward(self, cycles: int) -> None:
-        """Account for ``cycles`` skipped cycles (clock-domain ticks).
+        """Account for ``cycles`` skipped cycles.
 
         Called by the engine after a fast-forward jump, once per component,
-        with the number of tick edges its clock domain would have seen.
-        Implementations replicate exactly the per-cycle counters an idle
+        with the length of the skipped window.  Implementations replicate exactly the per-cycle counters an idle
         :meth:`step` would have accumulated; the default assumes there are
         none.
         """

@@ -321,11 +321,6 @@ class GPUConfig:
         payload = self.line_bytes if carries_data else 0
         return max(1, -(-(self.icnt.header_bytes + payload) // self.icnt.flit_bytes))
 
-    def request_transfer_cycles(self, is_write: bool) -> int:
-        """Port cycles a request packet occupies a crossbar port."""
-        lanes = self.icnt.channel_lanes
-        return max(1, -(-self.request_flits(is_write) // lanes))
-
     def response_transfer_cycles(self, carries_data: bool = True) -> int:
         """Port cycles a response packet occupies a crossbar port."""
         lanes = self.icnt.channel_lanes
@@ -349,40 +344,58 @@ _SUBCONFIG_TYPES: dict[str, type] = {
 def config_from_dict(payload: Mapping[str, Any]) -> GPUConfig:
     """Rebuild a :class:`GPUConfig` from ``dataclasses.asdict`` output.
 
-    The inverse of ``dataclasses.asdict(config)`` — campaign manifests
-    persist configs as plain JSON and rebuild them here.  Unknown or
-    missing fields raise :class:`~repro.errors.ConfigError` (a manifest
-    written by different code must fail loudly, not half-apply);
-    ``__post_init__`` validation then runs as usual.
+    The inverse of ``dataclasses.asdict(config)`` — campaign manifests and
+    service specs carry configs as plain JSON and rebuild them here.
+    Unknown fields, and values not of their field's declared type, raise
+    :class:`~repro.errors.ConfigError` naming the field (a manifest
+    written by different code must fail loudly, not half-apply); missing
+    fields take their defaults.  ``__post_init__`` validation then runs
+    as usual.
     """
     if not isinstance(payload, Mapping):
         raise ConfigError(
             f"config payload must be a mapping, got {type(payload).__name__}"
         )
-    known = {f.name for f in dataclasses.fields(GPUConfig)}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ConfigError(f"unknown GPUConfig field(s): {', '.join(unknown)}")
-    kwargs: dict[str, Any] = {}
-    for name, value in payload.items():
-        sub_type = _SUBCONFIG_TYPES.get(name)
-        if sub_type is None:
-            kwargs[name] = value
-            continue
-        if not isinstance(value, Mapping):
-            raise ConfigError(
-                f"GPUConfig.{name} must be a mapping, "
-                f"got {type(value).__name__}"
-            )
-        sub_known = {f.name for f in dataclasses.fields(sub_type)}
-        sub_unknown = sorted(set(value) - sub_known)
-        if sub_unknown:
-            raise ConfigError(
-                f"unknown {sub_type.__name__} field(s): "
-                + ", ".join(sub_unknown)
-            )
-        kwargs[name] = sub_type(**value)
+    kwargs = dict(_checked_fields(GPUConfig, payload))
+    for name, sub_type in _SUBCONFIG_TYPES.items():
+        if name in kwargs:
+            kwargs[name] = sub_type(**_checked_fields(sub_type, kwargs[name]))
     return GPUConfig(**kwargs)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: Value check per declared field type of the config dataclasses; a
+#: sub-config arrives as a mapping and is checked field by field.
+_VALUE_CHECKS: dict[str, Callable[[Any], bool]] = {
+    "int": _is_int,
+    "bool": lambda value: isinstance(value, bool),
+    "str": lambda value: isinstance(value, str),
+    "int | None": lambda value: value is None or _is_int(value),
+    **{
+        sub_type.__name__: lambda value: isinstance(value, Mapping)
+        for sub_type in _SUBCONFIG_TYPES.values()
+    },
+}
+
+
+def _checked_fields(cls: type, payload: Mapping[str, Any]) -> Mapping[str, Any]:
+    """``payload``, after checking each key is a field of ``cls`` and each
+    value has that field's declared type."""
+    declared = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(payload) - set(declared))
+    if unknown:
+        raise ConfigError(
+            f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
+    for name, value in payload.items():
+        if not _VALUE_CHECKS[declared[name]](value):
+            raise ConfigError(
+                f"{cls.__name__}.{name} must be {declared[name]}, "
+                f"got {type(value).__name__} {value!r}"
+            )
+    return payload
 
 
 def fermi_gtx480() -> GPUConfig:

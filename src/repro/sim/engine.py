@@ -12,18 +12,16 @@ retired") guarded by ``max_cycles``; exceeding the guard raises
 :class:`~repro.errors.CycleLimitExceeded` so mis-calibrated experiments fail
 loudly instead of spinning.
 
-Every component is stepped on every edge of its clock; an event-horizon
+Every component is stepped on every core cycle; an event-horizon
 fast-forward jumps windows in which *all* components sleep.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from typing import Protocol
 
 from repro.errors import CycleLimitExceeded, SimulationError
-from repro.sim.clock import CORE_CLOCK, ClockDomain
 from repro.sim.component import WAKE_NEVER, Component
 
 
@@ -34,9 +32,6 @@ class SimObserver(Protocol):
 
     def on_finalize(self, cycle: int) -> None: ...
 
-#: Largest clock-period hyperperiod for which per-residue dispatch lists
-#: are precomputed; beyond this the engine falls back to per-entry scans.
-_MAX_DISPATCH_RESIDUES = 4096
 
 #: Default cycle budget for a simulation run.  Shared by
 #: :meth:`Simulator.run`, :meth:`repro.gpu.GPU.run` and
@@ -50,19 +45,16 @@ class Simulator:
 
     def __init__(self) -> None:
         self.cycle: int = 0
-        self._entries: list[tuple[Component, ClockDomain]] = []
+        self._entries: list[Component] = []
         self._finalized = False
         #: The fast flag of the active :meth:`run`, so components
         #: registered mid-run still receive :meth:`set_fast_mode`.
         self._run_fast: bool | None = None
-        #: residue -> bound step methods ticking on that residue of the
-        #: clock hyperperiod (preserving registration order); None until
-        #: built, or permanently None when the hyperperiod is impractical.
-        self._dispatch: list[list[Callable[[int], None]]] | None = None
-        self._dispatch_mod: int = 0
-        #: With every component on the core clock (hyperperiod 1) this is
-        #: the single residue list, saving the modulo+index per cycle.
-        self._dispatch_flat: list[Callable[[int], None]] | None = None
+        #: Bound ``step`` / ``next_wake`` methods in registration order,
+        #: built at the first step or jump after an :meth:`add` (late, so
+        #: wrappers installed on a built GPU's components are the ones
+        #: called); None until then.
+        self._step_fns: list[Callable[[int], None]] | None = None
         self._wake_fns: list[Callable[[int], int | None]] | None = None
         #: Index of the component that vetoed the last fast-forward
         #: attempt; probed first, since a busy component usually stays
@@ -86,14 +78,10 @@ class Simulator:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def add(
-        self, component: Component, clock: ClockDomain = CORE_CLOCK
-    ) -> Component:
-        """Register ``component`` on ``clock``; returns the component."""
-        self._entries.append((component, clock))
-        self._dispatch = None
-        self._dispatch_mod = 0
-        self._dispatch_flat = None
+    def add(self, component: Component) -> Component:
+        """Register ``component`` after those already added; returns it."""
+        self._entries.append(component)
+        self._step_fns = None
         self._wake_fns = None
         if self._run_fast is not None:
             component.set_fast_mode(self._run_fast)
@@ -102,7 +90,7 @@ class Simulator:
     @property
     def components(self) -> list[Component]:
         """Registered components in step order."""
-        return [c for c, _ in self._entries]
+        return list(self._entries)
 
     def attach_observer(self, observer: SimObserver) -> None:
         """Register an observer called at cycle and finalize boundaries.
@@ -119,49 +107,21 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _build_dispatch(self) -> None:
-        """Precompute per-residue step lists over the clock hyperperiod.
-
-        Mixed clock domains must keep both the fast path *and* the
-        registration order (the one-hop-per-cycle contract fixes which
-        component acts first within a cycle), so the dispatch table holds
-        one ordered list of bound ``step`` methods per residue of
-        ``lcm(periods)``.  With every component on the core clock this
-        collapses to a single list; a pathological hyperperiod falls back
-        to the per-entry scan.
-        """
-        self._wake_fns = [c.next_wake for c, _ in self._entries]
+    def _bind(self) -> list[Callable[[int], None]]:
+        """Bind the components' ``step`` and ``next_wake`` methods."""
+        steps = self._step_fns = [c.step for c in self._entries]
+        self._wake_fns = [c.next_wake for c in self._entries]
         self._last_blocker = 0
-        hyper = math.lcm(*(clk.period for _, clk in self._entries)) \
-            if self._entries else 1
-        if hyper > _MAX_DISPATCH_RESIDUES:
-            self._dispatch = None
-            self._dispatch_flat = None
-            self._dispatch_mod = -1  # built; use the per-entry scan
-            return
-        self._dispatch = [
-            [c.step for c, clk in self._entries if clk.ticks(residue)]
-            for residue in range(hyper)
-        ]
-        self._dispatch_flat = self._dispatch[0] if hyper == 1 else None
-        self._dispatch_mod = hyper
+        return steps
 
     def step(self) -> None:
         """Advance the simulation by one core cycle."""
         now = self.cycle
-        if self._dispatch_mod == 0:
-            self._build_dispatch()
-        flat = self._dispatch_flat
-        if flat is not None:
-            for step in flat:
-                step(now)
-        elif (dispatch := self._dispatch) is not None:
-            for step in dispatch[now % self._dispatch_mod]:
-                step(now)
-        else:
-            for component, clock in self._entries:
-                if clock.ticks(now):
-                    component.step(now)
+        steps = self._step_fns
+        if steps is None:
+            steps = self._bind()
+        for step in steps:
+            step(now)
         self.cycle = now + 1
         if self._observers:
             for observer in self._observers:
@@ -185,7 +145,7 @@ class Simulator:
             raise SimulationError("simulator already finalized; build a new one")
         fast = self.fast_forward_enabled and not self._observers
         self._run_fast = fast
-        for component, _ in self._entries:
+        for component in self._entries:
             component.set_fast_mode(fast)
         while not done():
             if self.cycle >= max_cycles:
@@ -195,7 +155,7 @@ class Simulator:
             self.step()
         finished_at = self.cycle
         if drain:
-            while not all(c.is_idle() for c, _ in self._entries):
+            while not all(c.is_idle() for c in self._entries):
                 if self.cycle >= max_cycles:
                     raise CycleLimitExceeded(
                         max_cycles, "drain never completed"
@@ -212,17 +172,17 @@ class Simulator:
         Returns True when time advanced.  The jump happens only when every
         component publishes a wake cycle strictly beyond ``self.cycle`` —
         then no component would change any state in the skipped window, so
-        only the per-cycle counters need replaying (via
-        :meth:`Component.fast_forward`, with per-clock-domain tick counts).
-        Any ``None`` hint vetoes fast-forward for good.  The horizon is
-        clamped to ``limit`` so a cycle-budget overrun fires at the same
-        cycle as the naive loop.
+        only the per-cycle counters need replaying, via
+        :meth:`Component.fast_forward` with the window length.  Any
+        ``None`` hint vetoes fast-forward for good.  The horizon is clamped
+        to ``limit`` so a cycle-budget overrun fires at the same cycle as
+        the naive loop.
         """
         now = self.cycle
         if now < self._ff_cooldown:
             return False
-        if self._dispatch_mod == 0:
-            self._build_dispatch()
+        if self._wake_fns is None:
+            self._bind()
         fns = self._wake_fns
         horizon = WAKE_NEVER
         if fns:
@@ -256,11 +216,8 @@ class Simulator:
         if horizon <= now:
             return False
         window = horizon - now
-        for component, clock in self._entries:
-            ticks = window if clock.period == 1 \
-                else clock.ticks_in(now, horizon)
-            if ticks:
-                component.fast_forward(ticks)
+        for component in self._entries:
+            component.fast_forward(window)
         self.cycles_fast_forwarded += window
         self.cycle = horizon
         return True
@@ -269,7 +226,7 @@ class Simulator:
         """Close statistics intervals on every component (idempotent)."""
         if self._finalized:
             return
-        for component, _ in self._entries:
+        for component in self._entries:
             component.finalize(self.cycle)
         for observer in self._observers:
             observer.on_finalize(self.cycle)

@@ -189,6 +189,7 @@ class TestDRAMRefresh:
         assert refreshed.cycles > base.cycles  # refresh steals bandwidth
 
     def test_refresh_closes_rows(self):
+        from repro.dram.bankstate import NO_ROW
         from repro.dram.controller import DRAMChannel
         from repro.mem.address import AddressMapper
 
@@ -196,8 +197,8 @@ class TestDRAMRefresh:
             tiny_gpu(), dram=dataclasses.replace(
                 tiny_gpu().dram, refresh_interval=50, refresh_cycles=10))
         channel = DRAMChannel("d", cfg, AddressMapper(cfg), 0)
-        channel.banks[0].open_row = 7
+        channel.bank_file.open_row[0] = 7
         channel._refresh(100)
-        assert channel.banks[0].open_row is None
-        assert channel.banks[0].busy_until >= 110
+        assert channel.bank_file.open_row[0] == NO_ROW
+        assert channel.bank_file.busy_until[0] >= 110
         assert channel._next_refresh > 100

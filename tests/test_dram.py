@@ -5,13 +5,13 @@ import dataclasses
 import pytest
 
 from repro.cache.l2 import L2Slice
-from repro.dram.bankstate import BankFile, BankState
+from repro.dram.bankstate import NO_ROW, BankFile
 from repro.dram.controller import DRAMChannel
 from repro.dram.scheduler import ACTIVATE, CAS, make_scheduler
 from repro.errors import ConfigError
 from repro.mem.address import AddressMapper
 from repro.mem.request import AccessKind, MemoryRequest
-from repro.sim.config import DRAMConfig, GPUConfig, tiny_gpu
+from repro.sim.config import tiny_gpu
 
 
 def make_channel(**dram_kwargs):
@@ -59,30 +59,6 @@ def run_until_returns(channel, n, limit=5000):
     raise AssertionError(f"only {len(channel.return_queue)} returns in {limit} cycles")  # noqa: REP003 - test-helper failure, not simulator code
 
 
-class TestBankState:
-    def test_access_latency_cases(self):
-        timing = DRAMConfig()
-        bank = BankState(0)
-        assert bank.access_latency(5, timing) == timing.t_rcd + timing.t_cas
-        bank.open_row = 5
-        assert bank.access_latency(5, timing) == timing.t_cas
-        assert (
-            bank.access_latency(6, timing)
-            == timing.t_rp + timing.t_rcd + timing.t_cas
-        )
-
-    def test_row_stats(self):
-        bank = BankState(0)
-        bank.record_access(1)
-        bank.open_row = 1
-        bank.record_access(1)
-        bank.record_access(2)
-        assert bank.row_closed == 1
-        assert bank.row_hits == 1
-        assert bank.row_conflicts == 1
-        assert bank.row_hit_rate == pytest.approx(1 / 3)
-
-
 @pytest.mark.parametrize("n_banks", BANK_COUNTS)
 class TestBankFile:
     def test_min_busy_tracks_earliest_bank(self, n_banks):
@@ -91,7 +67,7 @@ class TestBankFile:
         for i in range(n_banks):
             banks.busy_until[i] = 100 + i
         assert banks.min_busy() == 100
-        banks.views[n_banks - 1].busy_until = 7
+        banks.busy_until[n_banks - 1] = 7
         assert banks.min_busy() == 7
 
     def test_lockout_extends_busy_and_closes_rows(self, n_banks):
@@ -104,7 +80,7 @@ class TestBankFile:
             200 if i % 2 else 500 for i in range(n_banks)
         ]
         assert banks.min_busy() == 200
-        assert all(view.open_row is None for view in banks.views)
+        assert banks.open_row == [NO_ROW] * n_banks
 
 
 class TestServiceFlow:
@@ -123,8 +99,35 @@ class TestServiceFlow:
         for i in range(4):
             l2.miss_queue.push(read(i, i * cfg.n_partitions), 0)
         run_until_returns(channel, 4)
-        hits = sum(b.row_hits for b in channel.banks)
+        hits = sum(channel.bank_file.row_hits)
         assert hits == 3  # first opens the row, rest hit
+
+    def test_row_outcomes_closed_hit_conflict(self):
+        """Reads of rows 0, 0, 1 on one bank, one at a time: a closed-row
+        activate, a row hit that skips it, then a precharge conflict."""
+        channel, l2, mapper, cfg = make_channel(t_rcd=7, t_rp=11)
+        bank0 = [
+            line for line in range(0, 1 << 16, cfg.n_partitions)
+            if mapper.dram_bank(line) == 0
+        ]
+        row0 = [line for line in bank0 if mapper.dram_row(line) == 0]
+        row1 = [line for line in bank0 if mapper.dram_row(line) == 1]
+        latencies = []
+        cycle = 0
+        for rid, line in enumerate((row0[0], row0[1], row1[0])):
+            l2.miss_queue.push(read(rid, line), cycle)
+            start = cycle
+            while channel.return_queue.empty:
+                channel.step(cycle)
+                cycle += 1
+            channel.return_queue.pop(cycle)
+            latencies.append(cycle - start)
+        banks = channel.bank_file
+        assert (banks.row_closed[0], banks.row_hits[0],
+                banks.row_conflicts[0]) == (1, 1, 1)
+        closed, hit, conflict = latencies
+        assert closed - hit == cfg.dram.t_rcd
+        assert conflict - closed == cfg.dram.t_rp
 
     def test_writeback_completes_without_return(self):
         channel, l2, mapper, cfg = make_channel()

@@ -1,9 +1,8 @@
-"""Simulation engine and clock-domain tests."""
+"""Simulation engine tests."""
 
 import pytest
 
-from repro.errors import ConfigError, CycleLimitExceeded, SimulationError
-from repro.sim.clock import ClockDomain
+from repro.errors import CycleLimitExceeded, SimulationError
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
 
@@ -28,22 +27,6 @@ class Ticker(Component):
         self.finalized_at = now
 
 
-class TestClockDomain:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ClockDomain("x", period=0)
-        with pytest.raises(ConfigError):
-            ClockDomain("x", period=2, phase=2)
-
-    def test_ticks(self):
-        clk = ClockDomain("half", period=2)
-        assert [c for c in range(6) if clk.ticks(c)] == [0, 2, 4]
-
-    def test_phase(self):
-        clk = ClockDomain("half", period=2, phase=1)
-        assert [c for c in range(6) if clk.ticks(c)] == [1, 3, 5]
-
-
 class TestSimulator:
     def test_step_order_is_registration_order(self):
         sim = Simulator()
@@ -60,62 +43,6 @@ class TestSimulator:
         sim.add(Probe("b"))
         sim.step()
         assert order == ["a", "b"]
-
-    def test_slow_clock_component(self):
-        sim = Simulator()
-        fast = Ticker()
-        slow = Ticker()
-        sim.add(fast)
-        sim.add(slow, ClockDomain("half", period=2))
-        for _ in range(6):
-            sim.step()
-        assert fast.ticks == list(range(6))
-        assert slow.ticks == [0, 2, 4]
-
-    def test_slow_clock_preserves_order_within_shared_cycles(self):
-        """The per-residue dispatch lists must keep registration order on
-        the cycles where both domains tick (the one-hop-per-cycle
-        contract), and skip the period-2 component on odd cycles."""
-        sim = Simulator()
-        order = []
-
-        class Probe(Component):
-            def __init__(self, tag):
-                self.tag = tag
-
-            def step(self, now):
-                order.append((now, self.tag))
-
-        sim.add(Probe("fast"))
-        sim.add(Probe("slow"), ClockDomain("half", period=2))
-        sim.add(Probe("tail"))
-        for _ in range(4):
-            sim.step()
-        assert order == [
-            (0, "fast"), (0, "slow"), (0, "tail"),
-            (1, "fast"), (1, "tail"),
-            (2, "fast"), (2, "slow"), (2, "tail"),
-            (3, "fast"), (3, "tail"),
-        ]
-
-    def test_phase_offset_dispatch(self):
-        sim = Simulator()
-        t = Ticker()
-        sim.add(t, ClockDomain("odd", period=2, phase=1))
-        for _ in range(6):
-            sim.step()
-        assert t.ticks == [1, 3, 5]
-
-    def test_pathological_hyperperiod_falls_back_to_scan(self):
-        """A hyperperiod beyond the dispatch-table cap still steps
-        correctly via the per-entry scan."""
-        sim = Simulator()
-        t = Ticker()
-        sim.add(t, ClockDomain("huge", period=5000))
-        for _ in range(3):
-            sim.step()
-        assert sim._dispatch is None  # table declined, scan path active
-        assert t.ticks == [0]
 
     def test_run_until_done(self):
         sim = Simulator()

@@ -15,7 +15,6 @@ import pytest
 from repro.analysis import Sanitizer
 from repro.core.metrics import run_kernel
 from repro.gpu import GPU
-from repro.sim.clock import ClockDomain
 from repro.sim.component import WAKE_NEVER, Component
 from repro.sim.engine import Simulator
 from repro.sim.config import tiny_gpu
@@ -132,17 +131,6 @@ class TestEngineSemantics:
         assert sim.fast_forward_enabled is False
         assert hinted.replayed == 0  # every cycle stepped naively
         assert len(hinted.stepped) == 50
-
-    def test_slow_clock_replay_counts_domain_ticks(self):
-        """A period-2 component's fast_forward gets its own tick count."""
-        sim = Simulator()
-        fast = sim.add(_Sleeper([0, 20]))
-        slow = sim.add(_Sleeper([0, 20]), ClockDomain("half", period=2))
-        sim.run(lambda: sim.cycle >= 20, drain=False)
-        assert fast.replayed + len(fast.stepped) == 20
-        # The half-rate domain ticks on even cycles only: 10 edges in
-        # [0, 20), replayed or stepped.
-        assert slow.replayed + len(slow.stepped) == 10
 
     def test_budget_overrun_fires_at_naive_cycle(self):
         from repro.errors import CycleLimitExceeded

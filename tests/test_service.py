@@ -81,6 +81,8 @@ class TestProtocol:
             {"sweep": {"config": "warehouse-scale"}},  # unknown name
             {"sweep": {"seeds": ["x"]}},  # non-integer seed
             {"sweep": {"max_cycles": "x"}},  # non-integer cycle budget
+            {"sweep": {"config": {"magic_memory": "no"}}},  # ill-typed bool
+            {"sweep": {"config": {"n_partitions": "4"}}},  # ill-typed int
         ):
             with pytest.raises(ServiceError) as err:
                 build_jobs(bad)

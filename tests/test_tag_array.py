@@ -7,8 +7,8 @@ from repro.errors import ConfigError
 from repro.cache.tag_array import Eviction, LineState, TagArray
 
 
-def make(n_sets=4, assoc=2, policy="lru"):
-    return TagArray("t", n_sets, assoc, policy)
+def make(n_sets=4, assoc=2):
+    return TagArray("t", n_sets, assoc)
 
 
 class TestBasics:
@@ -46,6 +46,15 @@ class TestEviction:
         tags.lookup(1, 30)  # 1 becomes MRU
         evicted = tags.fill(3, 40)
         assert evicted == Eviction(line=2, dirty=False)
+
+    def test_lru_stamps_are_per_set(self):
+        tags = make(n_sets=2, assoc=2)
+        tags.fill(0, 1)  # set 0
+        tags.fill(2, 2)  # set 0
+        tags.fill(1, 9)  # set 1
+        tags.fill(3, 3)  # set 1
+        assert tags.fill(4, 10).line == 0  # oldest in set 0
+        assert tags.fill(5, 11).line == 3  # oldest in set 1, not line 0
 
     def test_dirty_eviction_reports_dirty(self):
         tags = make(n_sets=1, assoc=1)
