@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Run the repo's lint passes (see repro.analysis.lint / .static for rules).
+"""Run the repo's lint passes: a shim for ``repro lint`` (see
+repro.analysis.lint / .static for rules).
 
 Usage::
 
@@ -10,7 +11,6 @@ Usage::
 Exits 0 when clean (baselined findings excluded), 1 when violations were
 found.
 """
-import argparse
 import sys
 from pathlib import Path
 
@@ -19,34 +19,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("paths", nargs="*", default=["src"])
-    parser.add_argument("--static", action="store_true")
-    parser.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text")
-    parser.add_argument("--output", default=None)
-    parser.add_argument("--baseline", default=None)
-    parser.add_argument("--no-baseline", action="store_true")
-    parser.add_argument("--update-baseline", action="store_true")
-    args = parser.parse_args(argv)
-
-    if args.static or args.update_baseline:
-        from repro.analysis.static import run_static
-
-        return run_static(
-            args.paths,
-            fmt=args.format,
-            output=args.output,
-            baseline_path=args.baseline,
-            update_baseline=args.update_baseline,
-            no_baseline=args.no_baseline,
-        )
-    from repro.analysis.lint import run_lint
-
-    return run_lint(args.paths)
-
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["lint", *sys.argv[1:]]))

@@ -233,16 +233,18 @@ class Sanitizer:
     def _scan(
         self,
     ) -> tuple[list[Any], list[Any], list[tuple[str, object]]]:
-        """Walk the component list through the ``inspect_*`` hooks."""
+        """Walk the component list through the ``sample_queues`` /
+        ``sample_mshrs`` / ``inspect_inflight`` hooks (family labels are
+        ignored)."""
         queues: list[Any] = []
         mshrs: list[Any] = []
         transit: list[tuple[str, object]] = []
         for component in self._sim.components:
-            for queue in component.inspect_queues():
+            for _, queue in component.sample_queues():
                 queues.append(queue)
                 for request in queue:
                     transit.append((queue.name, request))
-            mshrs.extend(component.inspect_mshrs())
+            mshrs.extend(mshr for _, mshr in component.sample_mshrs())
             for request in component.inspect_inflight():
                 transit.append((component.name, request))
         return queues, mshrs, transit

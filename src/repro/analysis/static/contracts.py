@@ -22,9 +22,9 @@ REP007
     subclass chains even as the base implementation evolves.
 
 REP008
-    Introspection/telemetry hook overrides (``inspect_queues``,
-    ``inspect_mshrs``, ``inspect_inflight``, ``sample_queues``,
-    ``sample_mshrs``, ``sample_counters``, plus ``step``, ``finalize``,
+    Introspection/telemetry hook overrides (``inspect_inflight``,
+    ``sample_queues``, ``sample_mshrs``, ``sample_counters``,
+    ``sample_stalls``, ``inspect_cycle_classes``, plus ``step``, ``finalize``,
     ``fast_forward``, ``is_idle``) keep the base-class arity: the
     sanitizer and telemetry probe call them polymorphically, so an extra
     required parameter is a guaranteed runtime ``TypeError`` on an
@@ -43,8 +43,6 @@ COMPONENT_QUALNAME = "repro.sim.component.Component"
 
 #: Hook name -> required parameter names after ``self`` (REP008).
 _HOOK_SIGNATURES: dict[str, tuple[str, ...]] = {
-    "inspect_queues": (),
-    "inspect_mshrs": (),
     "inspect_inflight": (),
     "sample_queues": (),
     "sample_mshrs": (),

@@ -25,7 +25,12 @@ from repro.cache.tag_array import TagArray
 from repro.mem.pipe import DelayPipe
 from repro.mem.queue import StatQueue
 from repro.mem.request import AccessKind, MemoryRequest
-from repro.sim.config import GPUConfig
+from repro.sim.config import (
+    L1_FILL_LATENCY,
+    L1_HIT_LATENCY,
+    MSHR_MAX_MERGE,
+    GPUConfig,
+)
 from repro.utils.stats import Accumulator, Histogram
 
 
@@ -68,15 +73,15 @@ class L1DCache:
         cfg = config.l1
         n_sets = cfg.size_bytes // (config.line_bytes * cfg.assoc)
         self.tags = TagArray(f"{name}.tags", n_sets, cfg.assoc)
-        self.mshr = MSHRTable(f"{name}.mshr", cfg.mshr_entries, cfg.mshr_max_merge)
+        self.mshr = MSHRTable(f"{name}.mshr", cfg.mshr_entries, MSHR_MAX_MERGE)
         self.miss_queue: StatQueue[MemoryRequest] = StatQueue(
             f"{name}.miss_queue", cfg.miss_queue_depth
         )
         self._hit_pipe: DelayPipe[MemoryRequest] = DelayPipe(
-            f"{name}.hit_pipe", cfg.hit_latency
+            f"{name}.hit_pipe", L1_HIT_LATENCY
         )
         self._fill_pipe: DelayPipe[MemoryRequest] = DelayPipe(
-            f"{name}.fill_pipe", cfg.fill_latency
+            f"{name}.fill_pipe", L1_FILL_LATENCY
         )
         self._magic = config.magic_memory
         self._magic_latency = config.magic_latency

@@ -30,7 +30,7 @@ from repro.mem.pipe import DelayPipe
 from repro.mem.queue import StatQueue
 from repro.mem.request import AccessKind, MemoryRequest
 from repro.sim.component import WAKE_NEVER, Component
-from repro.sim.config import GPUConfig
+from repro.sim.config import MSHR_MAX_MERGE, GPUConfig
 
 
 @dataclass(slots=True)
@@ -65,7 +65,7 @@ class L2Slice(Component):
         cfg = config.l2
         n_sets = cfg.size_bytes // (config.line_bytes * cfg.assoc)
         self.tags = TagArray(f"{name}.tags", n_sets, cfg.assoc)
-        self.mshr = MSHRTable(f"{name}.mshr", cfg.mshr_entries, cfg.mshr_max_merge)
+        self.mshr = MSHRTable(f"{name}.mshr", cfg.mshr_entries, MSHR_MAX_MERGE)
         self.access_queue: StatQueue[MemoryRequest] = StatQueue(
             f"{name}.access_queue", cfg.access_queue_depth
         )
@@ -86,7 +86,7 @@ class L2Slice(Component):
         self._port_free_at = 0
         #: Responses awaiting the data port (produced by fills).
         self._pending_responses: list[MemoryRequest] = []
-        self._pending_cap = 4 * cfg.mshr_max_merge
+        self._pending_cap = 4 * MSHR_MAX_MERGE
         #: Set by the GPU wiring: the DRAM channel whose return queue we drain.
         self.dram = None
         # --- statistics ---
@@ -287,16 +287,7 @@ class L2Slice(Component):
         self.mshr.finalize(now)
 
     # ------------------------------------------------------------------
-    # sanitizer introspection
-    # ------------------------------------------------------------------
-    def inspect_queues(self):
-        return (self.access_queue, self.miss_queue, self.response_queue)
-
-    def inspect_mshrs(self):
-        return (self.mshr,)
-
-    # ------------------------------------------------------------------
-    # telemetry sampling
+    # sanitizer / telemetry introspection
     # ------------------------------------------------------------------
     def sample_queues(self):
         return (

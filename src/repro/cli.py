@@ -232,22 +232,6 @@ def _config(args: argparse.Namespace) -> GPUConfig:
     return NAMED_CONFIGS[args.config]()
 
 
-def _report_sim_profile(profiler, args: argparse.Namespace) -> None:
-    """Print the cProfile top-N to stderr; optionally dump pstats data.
-
-    Output goes to stderr so the metrics table on stdout stays
-    byte-identical with and without profiling.
-    """
-    import pstats
-
-    top = args.profile_sim if args.profile_sim is not None else 25
-    stats = pstats.Stats(profiler, stream=sys.stderr)
-    stats.sort_stats("cumulative").print_stats(top)
-    if args.profile_out:
-        profiler.dump_stats(args.profile_out)
-        print(f"wrote profile data to {args.profile_out}", file=sys.stderr)
-
-
 def _cmd_suite(_args: argparse.Namespace) -> int:
     rows = [
         [name, spec.pattern, spec.iterations,
@@ -272,26 +256,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _config(args)
     if args.magic_latency is not None:
         config = config.with_magic_memory(args.magic_latency)
-    instrumented = args.sanitize or args.timeline
-    profiling = args.profile_sim is not None or args.profile_out is not None
-    if instrumented or profiling:
-        # Observers hook simulator objects directly, and cProfile must
-        # see the simulation frames, so these runs stay on the in-process
-        # path regardless of --jobs (see docs/architecture.md, "Parallel
-        # execution & caching").
-        profiler = None
-        if profiling:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
+    if args.sanitize or args.timeline:
+        # Observers hook simulator objects directly, so these runs stay on
+        # the in-process path regardless of --jobs (see
+        # docs/architecture.md, "Parallel execution & caching").
         metrics = run_kernel(
             config, get_benchmark(args.benchmark, args.scale), seed=args.seed,
             sanitize=args.sanitize, sanitize_interval=args.sanitize_interval,
             timeline=args.timeline, timeline_window=args.window)
-        if profiler is not None:
-            profiler.disable()
-            _report_sim_profile(profiler, args)
     else:
         runner = _make_runner(args)
         [metrics] = runner.run([
@@ -430,7 +402,7 @@ def _cmd_congestion(args: argparse.Namespace) -> int:
 def _cmd_latency_profile(args: argparse.Namespace) -> int:
     config = _config(args)
     runner = _make_runner(args)
-    latencies = args.latencies or list(range(0, 801, args.step))
+    latencies = args.latencies or list(range(0, 801, 100))
     profiles = [
         profile_latency_tolerance(
             name, config, latencies=latencies,
@@ -742,16 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--window", type=int, default=None, metavar="CYCLES",
         help="telemetry window length in cycles (default: 2000)")
-    run.add_argument(
-        "--profile-sim", type=int, nargs="?", const=25, default=None,
-        metavar="N",
-        help="profile the simulation with cProfile and print the top N "
-             "functions by cumulative time to stderr (default N: 25; "
-             "forces the in-process path)")
-    run.add_argument(
-        "--profile-out", default=None, metavar="PATH",
-        help="also dump the raw pstats profile data to PATH (for "
-             "snakeviz / pstats post-processing; implies profiling)")
     _add_common(run)
     _add_runner(run)
     run.set_defaults(func=_cmd_run)
@@ -839,10 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
         "latency-profile", help="Figure 1: latency tolerance profile")
     prof.add_argument(
         "--latencies", nargs="*", type=int, default=None,
-        help="explicit latency points (default 0..800)")
-    prof.add_argument(
-        "--step", type=int, default=100,
-        help="latency grid step when --latencies not given (default 100)")
+        help="explicit latency points (default 0..800 in steps of 100)")
     _add_common(prof)
     _add_runner(prof)
     prof.set_defaults(func=_cmd_latency_profile)

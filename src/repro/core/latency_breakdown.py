@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from repro.sim.engine import DEFAULT_MAX_CYCLES
 from repro.gpu import GPU
 from repro.mem.request import MemoryRequest
-from repro.sim.config import GPUConfig
+from repro.sim.config import L1_FILL_LATENCY, GPUConfig
 from repro.utils.stats import Accumulator
 from repro.utils.tables import render_table
 from repro.workloads.program import KernelProgram
@@ -147,6 +147,6 @@ def congestion_share(breakdown: LatencyBreakdown, config: GPUConfig) -> float:
         + timing.t_rcd + timing.t_cas + config.dram_transfer_cycles
         + config.response_transfer_cycles()
         + config.icnt.network_latency
-        + config.l1.fill_latency
+        + L1_FILL_LATENCY
     )
     return max(0.0, (observed - unloaded) / observed)

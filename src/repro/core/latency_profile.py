@@ -119,25 +119,21 @@ def profile_latency_tolerance(
     latencies: Sequence[int] = DEFAULT_LATENCIES,
     iteration_scale: float = 1.0,
     seed: int = 1,
-    baseline: RunMetrics | None = None,
     max_cycles: int = DEFAULT_MAX_CYCLES,
     runner: BatchRunner | None = None,
 ) -> LatencyProfile:
     """Produce one benchmark's Figure 1 curve.
 
-    ``baseline`` may be supplied to reuse an existing baseline run (e.g.
-    shared with the congestion measurement); otherwise the true baseline
-    configuration is simulated first.
-
-    A suite benchmark *name* runs the baseline and every swept point as
+    The true baseline configuration is simulated first, then every swept
+    magic-memory latency.  A suite benchmark *name* runs them all as
     one batch on ``runner`` (default: :meth:`BatchRunner.serial`).  An
     ad-hoc :class:`KernelProgram` runs in-process: its closures cannot
     cross process boundaries and it has no :class:`Job` key.
     """
     latencies = list(latencies)
-    configs = [config.with_magic_memory(latency) for latency in latencies]
-    if baseline is None:
-        configs.insert(0, config)
+    configs = [config] + [
+        config.with_magic_memory(latency) for latency in latencies
+    ]
     if isinstance(benchmark, str):
         name = benchmark
         results = (runner or BatchRunner.serial()).run(
@@ -153,8 +149,7 @@ def profile_latency_tolerance(
             run_kernel(cfg, benchmark, seed=seed, max_cycles=max_cycles)
             for cfg in configs
         ]
-    if baseline is None:
-        baseline, *results = results
+    baseline, *results = results
     points = [
         LatencyPoint(
             latency=latency,

@@ -236,7 +236,6 @@ def run_kernel(
     sanitize_interval: int = 64,
     timeline: bool = False,
     timeline_window: int | None = None,
-    timeline_max_windows: int | None = None,
     trace: bool = False,
     trace_stride: int | None = None,
     trace_limit: int | None = None,
@@ -305,11 +304,6 @@ def run_kernel(
                     telemetry.DEFAULT_WINDOW
                     if timeline_window is None
                     else timeline_window
-                ),
-                max_windows=(
-                    telemetry.DEFAULT_MAX_WINDOWS
-                    if timeline_max_windows is None
-                    else timeline_max_windows
                 ),
             )
         if trace:

@@ -616,21 +616,12 @@ class SM(Component):
         self.l1.finalize(now)
 
     # ------------------------------------------------------------------
-    # sanitizer introspection
+    # sanitizer / telemetry introspection
     # ------------------------------------------------------------------
-    def inspect_queues(self):
-        return (self.l1.miss_queue,)
-
-    def inspect_mshrs(self):
-        return (self.l1.mshr,)
-
     def inspect_inflight(self):
         yield from self._ldst_queue
         yield from self.l1.inflight_requests()
 
-    # ------------------------------------------------------------------
-    # telemetry sampling
-    # ------------------------------------------------------------------
     def sample_queues(self):
         return (("l1_missq", self.l1.miss_queue),)
 

@@ -8,7 +8,7 @@ Pipeline per cycle:
    *scheduler queue* (the structure whose full-time Section III reports);
 3. issue one DRAM command chosen by the scheduling policy: a CAS dequeues
    the request and books its line transfer on the data bus
-   (``line_bytes / (bus_bytes * data_rate)`` cycles — the Table I
+   (``line_bytes / (bus_bytes * DRAM_DATA_RATE)`` cycles — the Table I
    bus-width lever); a precharge+activate opens a row while the request
    *stays in the scheduler queue* — so a loaded channel shows up as a full
    scheduler queue, exactly what Section III measures.
@@ -27,7 +27,7 @@ from repro.mem.pipe import DelayPipe
 from repro.mem.queue import StatQueue
 from repro.mem.request import AccessKind, MemoryRequest
 from repro.sim.component import WAKE_NEVER, Component
-from repro.sim.config import GPUConfig
+from repro.sim.config import DRAM_BUS_WINDOW_TRANSFERS, GPUConfig
 from repro.utils.stats import Accumulator
 
 
@@ -56,6 +56,11 @@ class DRAMChannel(Component):
         self.bank_file = BankFile(cfg.banks)
         self._scheduler = make_scheduler(cfg.scheduler)
         self._transfer_cycles = config.dram_transfer_cycles
+        # The bus may be booked up to DRAM_BUS_WINDOW_TRANSFERS transfers
+        # beyond the earliest possible data arrival (now + tCAS); measuring
+        # from ``now`` alone would lock the channel whenever tCAS exceeds
+        # the window.
+        self._bus_window = DRAM_BUS_WINDOW_TRANSFERS * self._transfer_cycles
         self._bus_free_at = 0
         self._completions: DelayPipe[MemoryRequest] = DelayPipe(
             f"{name}.completions", 0
@@ -171,12 +176,9 @@ class DRAMChannel(Component):
             return
         timing = self._config.dram
         headroom = self.return_queue.capacity - len(self.return_queue)
-        # The bus may be booked up to ``bus_window_transfers`` transfers
-        # beyond the earliest possible data arrival (now + tCAS); measuring
-        # from ``now`` alone would lock the channel whenever tCAS exceeds
-        # the window.
-        bus_window = timing.bus_window_transfers * self._transfer_cycles
-        bus_gate_ok = self._bus_free_at - (now + timing.t_cas) <= bus_window
+        bus_gate_ok = (
+            self._bus_free_at - (now + timing.t_cas) <= self._bus_window
+        )
 
         def cas_ok(request: MemoryRequest) -> bool:
             if not bus_gate_ok:
@@ -238,17 +240,11 @@ class DRAMChannel(Component):
         self.return_queue.finalize(now)
 
     # ------------------------------------------------------------------
-    # sanitizer introspection
+    # sanitizer / telemetry introspection
     # ------------------------------------------------------------------
-    def inspect_queues(self):
-        return (self.sched_queue, self.return_queue)
-
     def inspect_inflight(self):
         yield from self._completions
 
-    # ------------------------------------------------------------------
-    # telemetry sampling
-    # ------------------------------------------------------------------
     def sample_queues(self):
         return (
             ("dram_schedq", self.sched_queue),

@@ -27,7 +27,7 @@ from repro.icnt.crossbar import Crossbar, PacketSink
 from repro.icnt.ring import RingNetwork
 from repro.mem.address import AddressMapper
 from repro.mem.request import RequestFactory
-from repro.sim.config import GPUConfig
+from repro.sim.config import RING_HOP_LATENCY, GPUConfig
 from repro.sim.engine import DEFAULT_MAX_CYCLES, Simulator
 from repro.workloads.program import KernelProgram
 
@@ -94,7 +94,7 @@ class GPU:
                 return RingNetwork(
                     name, config, sources=sources, sinks=sinks, route=route,
                     flit_count=flit_count, stamp_hop=hop,
-                    hop_latency=config.icnt.ring_hop_latency)
+                    hop_latency=RING_HOP_LATENCY)
         else:
             def make_network(name, sources, sinks, route, flit_count, hop):
                 return Crossbar(

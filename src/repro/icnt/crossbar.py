@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from repro.mem.queue import StatQueue
 from repro.mem.request import MemoryRequest
 from repro.sim.component import WAKE_NEVER, Component
-from repro.sim.config import GPUConfig
+from repro.sim.config import ICNT_INPUT_QUEUE_PKTS, GPUConfig
 
 
 @dataclass(slots=True)
@@ -79,7 +79,7 @@ class Crossbar(Component):
         self._lanes = lanes
         self._stamp_hop = stamp_hop
         self._inputs = [
-            _InputPort(config.icnt.input_queue_pkts) for _ in sources
+            _InputPort(ICNT_INPUT_QUEUE_PKTS) for _ in sources
         ]
         #: Source deque aliases (mutated in place by StatQueue), saving an
         #: attribute hop in the per-cycle injection/wake scans.

@@ -13,7 +13,8 @@ Stations (SM side and partition side, interleaved around the ring) are
 connected by directed links in both rotation directions; a packet takes
 the direction with fewer hops.  Each link carries ``channel_lanes`` flits
 per cycle, so a packet serializes for ``ceil(flits/lanes)`` cycles per
-link and additionally pays ``ring_hop_latency`` pipeline cycles per hop.
+link and additionally pays ``hop_latency`` pipeline cycles per hop
+(:data:`~repro.sim.config.RING_HOP_LATENCY` in the GPU wiring).
 Link occupancy is booked at injection in path order — an approximation of
 wormhole flow (documented; acceptable for topology ablations).  Arrivals
 wait in a bounded arrival buffer when the destination queue is full,

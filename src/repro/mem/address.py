@@ -14,7 +14,7 @@ local bits so consecutive local lines alternate L2 banks.
 
 from __future__ import annotations
 
-from repro.sim.config import GPUConfig
+from repro.sim.config import DRAM_ROW_BYTES, GPUConfig
 
 
 class AddressMapper:
@@ -27,7 +27,7 @@ class AddressMapper:
         self._l2_bank_mask = config.l2.banks - 1
         self.dram_banks = config.dram.banks
         self._dram_bank_mask = config.dram.banks - 1
-        self.row_lines = config.dram.row_bytes // config.line_bytes
+        self.row_lines = DRAM_ROW_BYTES // config.line_bytes
         self._row_shift = self.row_lines.bit_length() - 1
 
     def partition(self, line: int) -> int:

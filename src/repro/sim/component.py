@@ -13,26 +13,22 @@ tests to assert drained state).
 
 Introspection
 -------------
-The ``inspect_*`` hooks let the :mod:`repro.analysis` sanitizer enumerate a
-component's bookkeeping without knowing its concrete type: every bounded
-queue (:meth:`inspect_queues`), every MSHR table (:meth:`inspect_mshrs`)
-and every request currently travelling through the component's private
-buffers (:meth:`inspect_inflight` — pipeline registers, crossbar FIFOs,
-pending-response lists; *not* MSHR residence, which the sanitizer reads
-from the tables themselves).  The defaults return empty iterables so plain
-components need not care.
-
-Telemetry
----------
-The ``sample_*`` hooks are the same idea for the :mod:`repro.telemetry`
-time-series probe, but labelled: each yields ``(label, thing)`` pairs
-where the label names the *family* the instrument belongs to
-(``"l2_accessq"``, ``"l1_mshr"``, ``"instructions"``), so the probe can
-aggregate the instances living on different components into one
-per-window series.  ``sample_counters`` yields *cumulative monotone*
-counters; the probe reports their per-window deltas.  The defaults return
-empty iterables, so — like the sanitizer — telemetry is strictly opt-in
-and free when no probe is attached.
+The ``sample_*`` hooks let the :mod:`repro.telemetry` time-series probe
+and the :mod:`repro.analysis` sanitizer enumerate a component's
+instruments without knowing its concrete type.  Each yields
+``(label, thing)`` pairs where the label names the *family* the
+instrument belongs to (``"l2_accessq"``, ``"l1_mshr"``,
+``"instructions"``), so the probe can aggregate the instances living on
+different components into one per-window series; the sanitizer reads
+every bounded queue (:meth:`sample_queues`) and MSHR table
+(:meth:`sample_mshrs`) and ignores the labels.  ``sample_counters`` yields
+*cumulative monotone* counters; the probe reports their per-window
+deltas.  :meth:`inspect_inflight` additionally lists every request
+currently travelling through the component's private buffers (pipeline
+registers, crossbar FIFOs, pending-response lists; *not* MSHR residence,
+which the sanitizer reads from the tables themselves).  The defaults
+return empty iterables, so introspection is strictly opt-in and free when
+no probe is attached.
 """
 
 from __future__ import annotations
@@ -108,29 +104,18 @@ class Component:
         """
 
     # ------------------------------------------------------------------
-    # sanitizer introspection hooks
+    # sanitizer / telemetry introspection hooks
     # ------------------------------------------------------------------
-    def inspect_queues(self) -> Iterable[Any]:
-        """Bounded :class:`~repro.mem.queue.StatQueue` instances owned here."""
+    def sample_queues(self) -> Iterable[tuple[str, Any]]:
+        """``(family, StatQueue)`` pairs: every bounded queue owned here."""
         return ()
 
-    def inspect_mshrs(self) -> Iterable[Any]:
-        """:class:`~repro.cache.mshr.MSHRTable` instances owned here."""
+    def sample_mshrs(self) -> Iterable[tuple[str, Any]]:
+        """``(family, MSHRTable)`` pairs: every MSHR table owned here."""
         return ()
 
     def inspect_inflight(self) -> Iterable[Any]:
         """Requests held in transit buffers other than the above queues."""
-        return ()
-
-    # ------------------------------------------------------------------
-    # telemetry sampling hooks
-    # ------------------------------------------------------------------
-    def sample_queues(self) -> Iterable[tuple[str, object]]:
-        """``(family, StatQueue)`` pairs for windowed congestion series."""
-        return ()
-
-    def sample_mshrs(self) -> Iterable[tuple[str, object]]:
-        """``(family, MSHRTable)`` pairs for windowed occupancy series."""
         return ()
 
     def sample_counters(self) -> Iterable[tuple[str, float]]:

@@ -3,7 +3,8 @@
 Every design parameter from Table I of the paper appears here under the same
 name, grouped into the same three levels — (a) DRAM, (b) L2 cache, (c) L1
 cache — plus the structural parameters (cache geometry, timing) that the
-paper inherits from its GTX480 GPGPU-Sim baseline.
+paper inherits from its GTX480 GPGPU-Sim baseline.  Structural parameters
+that no experiment varies are module constants, not config fields.
 
 Baseline values match Table I exactly:
 
@@ -44,6 +45,39 @@ from typing import Any
 from repro.errors import ConfigError
 
 
+# ----------------------------------------------------------------------
+# fixed structural parameters
+# ----------------------------------------------------------------------
+# Inherited from the GTX480 baseline and never varied by the paper or by
+# any experiment here, so they are constants rather than config fields.
+
+#: Maximum requests merged into one outstanding MSHR entry (L1 and L2).
+MSHR_MAX_MERGE = 8
+#: L1 cycles from tag hit to data return.
+L1_HIT_LATENCY = 4
+#: L1 cycles from fill arrival to line readable / dependents woken.
+L1_FILL_LATENCY = 1
+#: Control-header bytes carried by every crossbar packet.
+PACKET_HEADER_BYTES = 8
+#: Packets buffered at each crossbar input port awaiting arbitration.
+ICNT_INPUT_QUEUE_PKTS = 4
+#: Per-hop pipeline latency of the ring topology.
+RING_HOP_LATENCY = 2
+#: Transfers per core cycle on the DRAM data bus (DDR signalling relative
+#: to the core clock); one line occupies the bus for
+#: ``line_size / (bus_bytes * DRAM_DATA_RATE)`` cycles.
+DRAM_DATA_RATE = 4
+#: Row-buffer size per DRAM bank.
+DRAM_ROW_BYTES = 2048
+#: Data-bus booking window, in transfers: the controller stops issuing
+#: once the bus is reserved more than this many line transfers into the
+#: future.  Deep enough to keep the bus saturated and banks parallel,
+#: shallow enough that sustained overload backs up into the scheduler
+#: queue (where Section III measures it) instead of an invisible bus
+#: backlog.
+DRAM_BUS_WINDOW_TRANSFERS = 8
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
@@ -67,9 +101,6 @@ class CoreConfig:
     mem_pipeline_width: int = 10
     #: Capacity of the LD/ST unit's pending-transaction queue.
     ldst_queue_depth: int = 64
-    #: Default per-warp limit on outstanding load instructions before the
-    #: warp blocks (workloads may override per kernel).
-    default_mlp_limit: int = 4
     #: Warp scheduler policy: "lrr" (loose round robin) or "gto"
     #: (greedy-then-oldest).
     scheduler: str = "lrr"
@@ -88,7 +119,6 @@ class CoreConfig:
         _require(self.issue_width >= 1, "issue_width must be >= 1")
         _require(self.mem_pipeline_width >= 1, "mem_pipeline_width must be >= 1")
         _require(self.ldst_queue_depth >= 1, "ldst_queue_depth must be >= 1")
-        _require(self.default_mlp_limit >= 1, "default_mlp_limit must be >= 1")
         _require(self.scheduler in ("lrr", "gto"),
                  f"unknown scheduler {self.scheduler!r}")
 
@@ -101,14 +131,8 @@ class L1Config:
     assoc: int = 4
     #: Table I "MSHR (L1D)".
     mshr_entries: int = 32
-    #: Maximum requests merged into one outstanding MSHR entry.
-    mshr_max_merge: int = 8
     #: Table I "L1 miss queue".
     miss_queue_depth: int = 8
-    #: Cycles from tag hit to data return.
-    hit_latency: int = 4
-    #: Cycles from fill arrival to line readable / dependents woken.
-    fill_latency: int = 1
     #: Store handling: "write_through" (Fermi-style write-through with
     #: write-evict, the paper's baseline) or "write_back" (write-allocate
     #: with dirty eviction writebacks to L2).
@@ -120,10 +144,7 @@ class L1Config:
                  f"unknown L1 write policy {self.write_policy!r}")
         _require(self.assoc >= 1, "L1 assoc must be >= 1")
         _require(self.mshr_entries >= 1, "L1 MSHR entries must be >= 1")
-        _require(self.mshr_max_merge >= 1, "L1 MSHR merge depth must be >= 1")
         _require(self.miss_queue_depth >= 1, "L1 miss queue must be >= 1")
-        _require(self.hit_latency >= 1, "L1 hit latency must be >= 1")
-        _require(self.fill_latency >= 1, "L1 fill latency must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -137,10 +158,6 @@ class ICNTConfig:
     #: (matching GPGPU-Sim's GTX480 32-byte channel with the paper's 4-byte
     #: flit); the Table I knob is the flit size.
     channel_lanes: int = 8
-    #: Control-header bytes carried by every packet.
-    header_bytes: int = 8
-    #: Packets buffered at each input port awaiting arbitration.
-    input_queue_pkts: int = 4
     #: Fixed network traversal latency (cycles) added to each response
     #: delivery, modelling router/channel pipeline depth; together with the
     #: L2 bank latency it sets the unloaded ~120-cycle L2 round trip.
@@ -148,18 +165,13 @@ class ICNTConfig:
     #: Topology: "crossbar" (baseline, as GPGPU-Sim's GTX480) or "ring"
     #: (ablation alternative with shared-link bandwidth).
     topology: str = "crossbar"
-    #: Per-hop pipeline latency of the ring topology.
-    ring_hop_latency: int = 2
 
     def __post_init__(self) -> None:
         _require(self.flit_bytes >= 1, "flit size must be >= 1 byte")
         _require(self.network_latency >= 0, "network latency must be >= 0")
         _require(self.topology in ("crossbar", "ring"),
                  f"unknown interconnect topology {self.topology!r}")
-        _require(self.ring_hop_latency >= 0, "ring hop latency must be >= 0")
         _require(self.channel_lanes >= 1, "channel lanes must be >= 1")
-        _require(self.header_bytes >= 1, "header size must be >= 1 byte")
-        _require(self.input_queue_pkts >= 1, "input queue must be >= 1 packet")
 
 
 @dataclass(frozen=True)
@@ -186,7 +198,6 @@ class L2Config:
     response_queue_depth: int = 8
     #: Table I "MSHR" (L2).
     mshr_entries: int = 32
-    mshr_max_merge: int = 8
     #: Table I "L2 data port" in bytes per cycle: a response of one cache
     #: line occupies the partition's return port for
     #: ``ceil(line_size / data_port_bytes)`` cycles.
@@ -202,7 +213,6 @@ class L2Config:
         _require(self.response_queue_depth >= 1,
                  "L2 response queue must be >= 1")
         _require(self.mshr_entries >= 1, "L2 MSHR entries must be >= 1")
-        _require(self.mshr_max_merge >= 1, "L2 MSHR merge depth must be >= 1")
         _require(self.data_port_bytes >= 1, "L2 data port must be >= 1 byte")
 
 
@@ -216,12 +226,6 @@ class DRAMConfig:
     banks: int = 16
     #: Table I "Bus width" in bytes per channel (32 bit = 4 B).
     bus_bytes: int = 4
-    #: Transfers per core cycle on the data bus (DDR signalling relative to
-    #: the core clock); one line occupies the bus for
-    #: ``line_size / (bus_bytes * data_rate)`` cycles.
-    data_rate: int = 4
-    #: Row-buffer size per bank.
-    row_bytes: int = 2048
     #: Activate-to-column (RAS-to-CAS) delay, core cycles.
     t_rcd: int = 40
     #: Precharge latency, core cycles.
@@ -230,13 +234,6 @@ class DRAMConfig:
     t_cas: int = 40
     #: Scheduling policy: "frfcfs" (first-ready FCFS) or "fcfs".
     scheduler: str = "frfcfs"
-    #: Data-bus booking window, in transfers: the controller stops issuing
-    #: once the bus is reserved more than this many line transfers into the
-    #: future.  Deep enough to keep the bus saturated and banks parallel,
-    #: shallow enough that sustained overload backs up into the scheduler
-    #: queue (where Section III measures it) instead of an invisible bus
-    #: backlog.
-    bus_window_transfers: int = 8
     #: Depth of the DRAM->L2 return queue (not a Table I knob; sized to stay
     #: out of the way so back-pressure localizes in the Table I queues).
     return_queue_depth: int = 32
@@ -250,14 +247,10 @@ class DRAMConfig:
         _require(self.sched_queue_depth >= 1, "DRAM scheduler queue must be >= 1")
         _require(_is_pow2(self.banks), "DRAM banks must be a power of two")
         _require(self.bus_bytes >= 1, "DRAM bus width must be >= 1 byte")
-        _require(self.data_rate >= 1, "DRAM data rate must be >= 1")
-        _require(_is_pow2(self.row_bytes), "DRAM row size must be a power of two")
         _require(self.t_rcd >= 1 and self.t_rp >= 1 and self.t_cas >= 1,
                  "DRAM timing parameters must be >= 1")
         _require(self.scheduler in ("frfcfs", "fcfs"),
                  f"unknown DRAM scheduler {self.scheduler!r}")
-        _require(self.bus_window_transfers >= 1,
-                 "DRAM bus window must be >= 1 transfer")
         _require(self.return_queue_depth >= 1, "DRAM return queue must be >= 1")
         _require(self.refresh_interval >= 0, "refresh interval must be >= 0")
         _require(self.refresh_cycles >= 0, "refresh cycles must be >= 0")
@@ -294,7 +287,7 @@ class GPUConfig:
                  "L1 size must be divisible by line_bytes * assoc")
         _require(self.l2.size_bytes % (self.line_bytes * self.l2.assoc) == 0,
                  "L2 size must be divisible by line_bytes * assoc")
-        _require(self.dram.row_bytes % self.line_bytes == 0,
+        _require(DRAM_ROW_BYTES % self.line_bytes == 0,
                  "DRAM row must hold a whole number of lines")
 
     # ------------------------------------------------------------------
@@ -303,7 +296,7 @@ class GPUConfig:
     @property
     def dram_transfer_cycles(self) -> int:
         """Core cycles one line occupies a DRAM channel's data bus."""
-        per_cycle = self.dram.bus_bytes * self.dram.data_rate
+        per_cycle = self.dram.bus_bytes * DRAM_DATA_RATE
         return max(1, -(-self.line_bytes // per_cycle))
 
     @property
@@ -314,12 +307,12 @@ class GPUConfig:
     def request_flits(self, is_write: bool) -> int:
         """Crossbar flits for a request packet (writes carry line data)."""
         payload = self.line_bytes if is_write else 0
-        return max(1, -(-(self.icnt.header_bytes + payload) // self.icnt.flit_bytes))
+        return max(1, -(-(PACKET_HEADER_BYTES + payload) // self.icnt.flit_bytes))
 
     def response_flits(self, carries_data: bool = True) -> int:
         """Crossbar flits for a response packet."""
         payload = self.line_bytes if carries_data else 0
-        return max(1, -(-(self.icnt.header_bytes + payload) // self.icnt.flit_bytes))
+        return max(1, -(-(PACKET_HEADER_BYTES + payload) // self.icnt.flit_bytes))
 
     def response_transfer_cycles(self, carries_data: bool = True) -> int:
         """Port cycles a response packet occupies a crossbar port."""

@@ -13,7 +13,7 @@ class IntermediateComponent(Component):
 
 
 class BadHooks(IntermediateComponent):
-    def inspect_queues(self, deep):  # extra required parameter
+    def sample_queues(self, deep):  # extra required parameter
         return ()
 
     def sample_counters(self, now, window):  # base takes only self

@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.mem.address import AddressMapper
-from repro.sim.config import GPUConfig, tiny_gpu
+from repro.sim.config import DRAM_ROW_BYTES, GPUConfig, tiny_gpu
 
 
 def test_partitions_interleave_consecutive_lines():
@@ -31,7 +31,7 @@ def test_row_layout_gives_streaming_row_runs():
     """Consecutive local lines share a DRAM row for row_lines accesses."""
     cfg = GPUConfig()
     mapper = AddressMapper(cfg)
-    row_lines = cfg.dram.row_bytes // cfg.line_bytes
+    row_lines = DRAM_ROW_BYTES // cfg.line_bytes
     part0_lines = [line for line in range(0, 4 * row_lines * 4, 4)]
     rows_banks = [(mapper.dram_bank(l), mapper.dram_row(l)) for l in part0_lines]
     # First row_lines lines: same (bank, row).

@@ -1,11 +1,16 @@
 """Configuration validation and derived-quantity tests."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ConfigError
 from repro.sim.config import (
+    DRAM_DATA_RATE,
+    PACKET_HEADER_BYTES,
     CoreConfig,
     DRAMConfig,
     GPUConfig,
@@ -47,7 +52,6 @@ class TestValidation:
             dict(assoc=0),
             dict(mshr_entries=0),
             dict(miss_queue_depth=0),
-            dict(hit_latency=0),
         ],
     )
     def test_bad_l1_config(self, kwargs):
@@ -73,7 +77,6 @@ class TestValidation:
             dict(sched_queue_depth=0),
             dict(banks=6),
             dict(bus_bytes=0),
-            dict(row_bytes=3000),
             dict(scheduler="lifo"),
             dict(t_cas=0),
         ],
@@ -98,10 +101,37 @@ class TestValidation:
             GPUConfig(l1=L1Config(size_bytes=1000))
 
 
+def _attributes_read(tree: ast.AST) -> set[str]:
+    """Attribute names loaded anywhere in ``tree`` outside ``__post_init__``."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            node.body = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_config_field_has_a_reader():
+    """A config field nothing reads (validation aside) is a dead knob."""
+    read: set[str] = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        read |= _attributes_read(ast.parse(path.read_text()))
+    unread = [
+        f"{cls.__name__}.{f.name}"
+        for cls in (CoreConfig, L1Config, ICNTConfig, L2Config, DRAMConfig,
+                    GPUConfig)
+        for f in dataclasses.fields(cls)
+        if f.name not in read
+    ]
+    assert unread == []
+
+
 class TestDerivedQuantities:
     def test_dram_transfer_cycles(self):
         cfg = GPUConfig()
-        expected = cfg.line_bytes // (cfg.dram.bus_bytes * cfg.dram.data_rate)
+        expected = cfg.line_bytes // (cfg.dram.bus_bytes * DRAM_DATA_RATE)
         assert cfg.dram_transfer_cycles == expected
 
     def test_l2_port_cycles(self):
@@ -119,7 +149,7 @@ class TestDerivedQuantities:
         read = cfg.request_flits(is_write=False)
         write = cfg.request_flits(is_write=True)
         assert write > read  # writes carry line data
-        assert read == -(-cfg.icnt.header_bytes // cfg.icnt.flit_bytes)
+        assert read == -(-PACKET_HEADER_BYTES // cfg.icnt.flit_bytes)
 
     def test_response_transfer_cycles_shrink_with_flit_size(self):
         cfg = GPUConfig()

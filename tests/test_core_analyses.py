@@ -70,12 +70,6 @@ class TestLatencyProfile:
     def test_plateau_at_or_after_zero(self, profile):
         assert profile.plateau_latency() >= 0
 
-    def test_reuses_supplied_baseline(self):
-        base = run_kernel(tiny_gpu(), PROBE)
-        prof = profile_latency_tolerance(
-            PROBE, tiny_gpu(), latencies=(0,), baseline=base)
-        assert prof.baseline is base
-
     def test_benchmark_by_name(self):
         prof = profile_latency_tolerance(
             "nn", tiny_gpu(), latencies=(0, 200), iteration_scale=0.1)

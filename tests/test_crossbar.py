@@ -5,7 +5,7 @@ import dataclasses
 from repro.icnt.crossbar import Crossbar, PacketSink
 from repro.mem.queue import StatQueue
 from repro.mem.request import AccessKind, MemoryRequest
-from repro.sim.config import GPUConfig, ICNTConfig
+from repro.sim.config import ICNT_INPUT_QUEUE_PKTS, GPUConfig, ICNTConfig
 
 
 def make_xbar(n_in=2, n_out=2, flit_bytes=4, lanes=8, sink_capacity=100,
@@ -125,7 +125,7 @@ class TestBackPressure:
 
     def test_source_drains_into_input_fifo(self):
         xbar, sources, outputs, cfg = make_xbar()
-        for i in range(cfg.icnt.input_queue_pkts + 3):
+        for i in range(ICNT_INPUT_QUEUE_PKTS + 3):
             sources[0].push(req(i, 0), 0)
         xbar.step(0)
         # Input FIFO holds its capacity; the remainder stays in the source.
@@ -134,7 +134,7 @@ class TestBackPressure:
         for c in range(1, 60):
             xbar.step(c)
         assert sources[0].empty
-        assert len(outputs[0]) == cfg.icnt.input_queue_pkts + 3
+        assert len(outputs[0]) == ICNT_INPUT_QUEUE_PKTS + 3
 
     def test_is_idle(self):
         xbar, sources, outputs, cfg = make_xbar(payload=False)

@@ -11,7 +11,7 @@ from repro.dram.scheduler import ACTIVATE, CAS, make_scheduler
 from repro.errors import ConfigError
 from repro.mem.address import AddressMapper
 from repro.mem.request import AccessKind, MemoryRequest
-from repro.sim.config import tiny_gpu
+from repro.sim.config import DRAM_ROW_BYTES, tiny_gpu
 
 
 def make_channel(**dram_kwargs):
@@ -229,7 +229,7 @@ class TestSchedulers:
         hit = read(0, 0)
         bank_idx = mapper.dram_bank(hit.line)
         banks.open_row[bank_idx] = mapper.dram_row(hit.line)
-        row_lines = cfg.dram.row_bytes // cfg.line_bytes
+        row_lines = DRAM_ROW_BYTES // cfg.line_bytes
         # Request to a different row of the SAME bank.
         conflict_local = mapper.local_line(hit.line) + row_lines * cfg.dram.banks
         conflict = read(1, conflict_local * cfg.n_partitions)

@@ -6,7 +6,13 @@ import pytest
 
 from repro.cache.l1 import AccessResult, L1DCache
 from repro.mem.request import AccessKind, MemoryRequest
-from repro.sim.config import GPUConfig, L1Config, tiny_gpu
+from repro.sim.config import (
+    L1_FILL_LATENCY,
+    L1_HIT_LATENCY,
+    GPUConfig,
+    L1Config,
+    tiny_gpu,
+)
 
 
 def make_l1(magic=False, magic_latency=0, **l1_kwargs):
@@ -70,7 +76,7 @@ class TestLoads:
                 break
         hit = load(1, 0x100)
         assert l1.try_access(hit, 200) is AccessResult.HIT
-        lat = l1._config.l1.hit_latency
+        lat = L1_HIT_LATENCY
         assert l1.collect_completions(200 + lat - 1) == []
         assert l1.collect_completions(200 + lat) == [hit]
 
@@ -185,7 +191,7 @@ class TestEpoch:
         r.is_response = True
         l1.deliver_fill(r, 105)
         # Fill lands after fill latency plus the response network latency.
-        delay = l1._config.l1.fill_latency + l1._config.icnt.network_latency
+        delay = L1_FILL_LATENCY + l1._config.icnt.network_latency
         assert l1.collect_completions(105 + delay - 1) == []
         assert l1.collect_completions(105 + delay) == [r]
         assert l1.miss_latency.mean == pytest.approx(100 + delay)

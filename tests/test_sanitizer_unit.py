@@ -36,11 +36,11 @@ class Harness(Component):
     def step(self, now):
         pass
 
-    def inspect_queues(self):
-        return self.queues
+    def sample_queues(self):
+        return [("q", queue) for queue in self.queues]
 
-    def inspect_mshrs(self):
-        return self.mshrs
+    def sample_mshrs(self):
+        return [("m", mshr) for mshr in self.mshrs]
 
     def inspect_inflight(self):
         return self.inflight
