@@ -21,6 +21,7 @@ then fan out one response per merged requester through the data port.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.cache.mshr import MSHRProbe, MSHRTable
@@ -40,12 +41,10 @@ class _Bank:
     pipe: DelayPipe[MemoryRequest]
     depth: int
     output: MemoryRequest | None = None
-    accepted_this_cycle: bool = False
-    #: Cycles the output register held a request it could not retire.
-    blocked_cycles: int = 0
-
-    def can_accept(self) -> bool:
-        return not self.accepted_this_cycle and len(self.pipe) < self.depth
+    #: Miss-resource epoch at which the held output last failed on a
+    #: miss-path stall; it is not retried until the epoch moves.  Epochs
+    #: only grow, so a stale value never matches again.
+    wait_epoch: int = -1
 
 
 class L2Slice(Component):
@@ -85,7 +84,7 @@ class L2Slice(Component):
         self._port_cycles = config.l2_port_cycles
         self._port_free_at = 0
         #: Responses awaiting the data port (produced by fills).
-        self._pending_responses: list[MemoryRequest] = []
+        self._pending_responses: deque[MemoryRequest] = deque()
         self._pending_cap = 4 * MSHR_MAX_MERGE
         #: Set by the GPU wiring: the DRAM channel whose return queue we drain.
         self.dram = None
@@ -100,44 +99,54 @@ class L2Slice(Component):
     # component protocol
     # ------------------------------------------------------------------
     def step(self, now: int) -> None:
-        # Fast path: nothing in flight anywhere in the slice.
-        if self.next_wake(now) > now:
-            return
-        for bank in self.banks:
-            bank.accepted_this_cycle = False
-        self._process_fills(now)
-        self._emit_pending_responses(now)
+        # Each stage runs only when it has input, so an idle slice costs a
+        # few truth tests and the bank scan.
+        if self.dram is not None and self.dram.return_queue._items:
+            self._process_fills(now)
+        if self._pending_responses:
+            self._emit_pending_responses(now)
         self._step_bank_outputs(now)
-        self._step_bank_inputs(now)
+        if self.access_queue._items:
+            self._step_bank_inputs(now)
 
     def next_wake(self, now: int) -> int:
-        if (
-            self.access_queue._items
-            or self._pending_responses
-            or (self.dram is not None and self.dram.return_queue._items)
+        if self._pending_responses or (
+            self.dram is not None and self.dram.return_queue._items
         ):
             return now
-        # Quiet front end: the only time-dependent state is requests in
-        # the bank pipelines (a held output register retries every cycle).
+        items = self.access_queue._items
+        if items:
+            bank = self.banks[self._mapper.l2_bank(items[0].line)]
+            if len(bank.pipe) < bank.depth:
+                return now
+            # Head-of-line blocked on a full bank pipe: it frees only
+            # when that bank's output moves, which the loop below covers.
+        # The remaining time-dependent state is in the banks: a held
+        # output retries every cycle unless epoch-gated, and a free
+        # output register takes its pipe head once that is ready.
+        epoch = self._miss_epoch()
         wake = WAKE_NEVER
         for bank in self.banks:
             if bank.output is not None:
-                return now
+                if bank.wait_epoch != epoch:
+                    return now
+                continue  # gated: DRAM admits or fills wake it
             heap = bank.pipe._heap
             if heap and heap[0][0] < wake:
                 wake = heap[0][0]
         return wake if wake > now else now
+
+    def _miss_epoch(self) -> int:
+        """Count of the events that can clear a miss-path stall: MSHR
+        releases and miss-queue pops."""
+        return self.mshr.releases + self.miss_queue.pops
 
     # ------------------------------------------------------------------
     # fills from DRAM
     # ------------------------------------------------------------------
     def _process_fills(self, now: int) -> None:
         """Install at most one returning DRAM line per cycle."""
-        if self.dram is None:
-            return
         return_queue = self.dram.return_queue
-        if return_queue.empty:
-            return
         if len(self._pending_responses) >= self._pending_cap:
             return  # back-pressure towards DRAM
         response = return_queue.pop(now)
@@ -163,7 +172,7 @@ class L2Slice(Component):
             and now >= self._port_free_at
             and self.response_queue.can_push()
         ):
-            response = self._pending_responses.pop(0)
+            response = self._pending_responses.popleft()
             response.stamp("l2_out", now)
             self.response_queue.push(response, now)
             self._port_free_at = now + self._port_cycles
@@ -174,16 +183,27 @@ class L2Slice(Component):
     # ------------------------------------------------------------------
     def _step_bank_outputs(self, now: int) -> None:
         for bank in self.banks:
-            if bank.output is None and bank.pipe.ready(now):
+            if bank.output is None:
+                heap = bank.pipe._heap
+                if not heap or heap[0][0] > now:
+                    continue
                 bank.output = bank.pipe.pop()
-            if bank.output is not None:
-                if self._resolve(bank.output, now):
-                    bank.output = None
-                else:
-                    bank.blocked_cycles += 1
+            elif bank.wait_epoch == self._miss_epoch():
+                continue  # nothing the miss-path stall waits on has changed
+            if self._resolve(bank, now):
+                bank.output = None
 
-    def _resolve(self, request: MemoryRequest, now: int) -> bool:
-        """Try to retire one bank output; False => retry next cycle."""
+    def _resolve(self, bank: _Bank, now: int) -> bool:
+        """Try to retire the bank's output; False => it stays held.
+
+        A miss-path stall (merge slots, MSHR table or miss-queue slots
+        exhausted) can only clear when an MSHR entry is released or the
+        miss queue pops, so it records that epoch in ``bank.wait_epoch``
+        and is not retried before it moves.  Load hits blocked on the
+        port or response queue and reservation failures retry every
+        cycle, since each attempt re-stamps LRU or counts a failure.
+        """
+        request = bank.output
         local = self._mapper.local_line(request.line)
         hit = self.tags.lookup(local, now, count=False)
         if "l2_probed" not in request.timestamps:
@@ -218,13 +238,14 @@ class L2Slice(Component):
             request.l2_miss = True
             request.stamp("l2_miss", now)
             return True
-        if probe is MSHRProbe.ENTRY_FULL:
-            return False
-        if self.mshr.full:
-            return False
         # Reserving may evict a dirty line needing a writeback slot, so
-        # demand two free miss-queue slots before committing.
-        if self.miss_queue.capacity - len(self.miss_queue) < 2:
+        # a new entry demands two free miss-queue slots before committing.
+        if (
+            probe is MSHRProbe.ENTRY_FULL
+            or self.mshr.full
+            or self.miss_queue.capacity - len(self.miss_queue) < 2
+        ):
+            bank.wait_epoch = self._miss_epoch()
             return False
         evicted = self.tags.reserve(local, now)
         if evicted is False:
@@ -255,17 +276,19 @@ class L2Slice(Component):
         self.miss_queue.push(writeback, now)
 
     def _step_bank_inputs(self, now: int) -> None:
-        accepted = 0
-        while accepted < len(self.banks) and not self.access_queue.empty:
-            head = self.access_queue.peek()
-            bank = self.banks[self._mapper.l2_bank(head.line)]
-            if not bank.can_accept():
+        """Feed access-queue heads into their banks, at most one accept
+        per bank per cycle, stopping at the first head that cannot go."""
+        queue = self.access_queue
+        accepted = 0  # bitmask of banks that took a request this cycle
+        while queue._items:
+            bank_idx = self._mapper.l2_bank(queue._items[0].line)
+            bank = self.banks[bank_idx]
+            if accepted >> bank_idx & 1 or len(bank.pipe) >= bank.depth:
                 break  # head-of-line blocking on a busy bank
-            request = self.access_queue.pop(now)
+            request = queue.pop(now)
             request.stamp("l2_in", now)
             bank.pipe.insert(request, now)
-            bank.accepted_this_cycle = True
-            accepted += 1
+            accepted |= 1 << bank_idx
 
     # ------------------------------------------------------------------
     # bookkeeping

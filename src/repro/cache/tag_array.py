@@ -30,13 +30,6 @@ class LineState(enum.Enum):
     RESERVED = 2
 
 
-@dataclass(slots=True)
-class _Way:
-    tag: int = -1
-    state: LineState = LineState.INVALID
-    dirty: bool = False
-
-
 @dataclass(frozen=True, slots=True)
 class Eviction:
     """Description of a line displaced by a reserve/fill."""
@@ -46,7 +39,14 @@ class Eviction:
 
 
 class TagArray:
-    """Tags + state for one cache; indexed by line index."""
+    """Tags + state for one cache; indexed by line index.
+
+    Storage is flat: way ``w`` of set ``s`` is slot ``s * assoc + w`` of
+    the parallel ``_tag`` / ``_state`` / ``_dirty`` / ``_last_use``
+    lists, and one ``line -> slot`` dict holds the non-INVALID slots, so
+    the per-access probe is a dict lookup and construction builds no
+    per-way objects.
+    """
 
     def __init__(self, name: str, n_sets: int, assoc: int) -> None:
         if n_sets < 1 or n_sets & (n_sets - 1):
@@ -56,23 +56,18 @@ class TagArray:
         self.name = name
         self.n_sets = n_sets
         self.assoc = assoc
-        self._sets = [[_Way() for _ in range(assoc)] for _ in range(n_sets)]
-        #: Per-set ``line -> way index`` for the non-INVALID ways, so the
-        #: per-access probe is a dict lookup instead of a way scan.
-        #: Maintained by reserve/fill/invalidate (the only tag mutators).
-        self._tag_map: list[dict[int, int]] = [{} for _ in range(n_sets)]
-        #: Per-set, per-way cycle of the last hit or fill (LRU stamps).
-        self._last_use = [[-1] * assoc for _ in range(n_sets)]
+        slots = n_sets * assoc
+        self._tag = [-1] * slots
+        self._state = [LineState.INVALID] * slots
+        self._dirty = [False] * slots
+        #: Cycle of each slot's last hit or fill (LRU stamps).
+        self._last_use = [-1] * slots
+        #: ``line -> slot`` for the non-INVALID slots.  Maintained by
+        #: reserve/fill/invalidate (the only tag mutators).
+        self._slot_of: dict[int, int] = {}
         self.lookups = RatioStat(f"{name}.hit_rate")
         #: Reservation failures (all candidate ways of a set reserved).
         self.reservation_fails: int = 0
-
-    # ------------------------------------------------------------------
-    # indexing helpers
-    # ------------------------------------------------------------------
-    def _find(self, line: int) -> tuple[int, int | None]:
-        set_idx = line & (self.n_sets - 1)
-        return set_idx, self._tag_map[set_idx].get(line)
 
     # ------------------------------------------------------------------
     # operations
@@ -84,65 +79,63 @@ class TagArray:
         caller can detect it via :meth:`state_of` to merge into an MSHR.
         Updates the way's LRU stamp and the hit-rate statistic on hits.
         """
-        set_idx, way_idx = self._find(line)
-        hit = way_idx is not None and (
-            self._sets[set_idx][way_idx].state is LineState.VALID
-        )
+        slot = self._slot_of.get(line)
+        hit = slot is not None and self._state[slot] is LineState.VALID
         if count:
             if hit:
                 self.lookups.hit()
             else:
                 self.lookups.miss()
         if hit:
-            self._last_use[set_idx][way_idx] = now
+            self._last_use[slot] = now
         return hit
 
     def state_of(self, line: int) -> LineState:
         """Current state of ``line`` (INVALID if not present)."""
-        set_idx, way_idx = self._find(line)
-        if way_idx is None:
+        slot = self._slot_of.get(line)
+        if slot is None:
             return LineState.INVALID
-        return self._sets[set_idx][way_idx].state
+        return self._state[slot]
 
     def mark_dirty(self, line: int) -> None:
         """Mark a VALID line dirty (write hit)."""
-        set_idx, way_idx = self._find(line)
-        if way_idx is None or self._sets[set_idx][way_idx].state is not LineState.VALID:
+        slot = self._slot_of.get(line)
+        if slot is None or self._state[slot] is not LineState.VALID:
             raise SimulationError(f"{self.name}: mark_dirty on absent line {line:#x}")
-        self._sets[set_idx][way_idx].dirty = True
+        self._dirty[slot] = True
 
-    def _allocate(self, set_idx: int, line: int) -> tuple[int, Eviction | None] | None:
-        """Claim a way for ``line`` in RESERVED state; None when every way
-        is reserved.  Single pass: stops at the first INVALID way, else
-        evicts the least recently used VALID way (strict <, so the first
-        minimum wins ties)."""
-        ways = self._sets[set_idx]
-        stamps = self._last_use[set_idx]
-        victim_idx = None
+    def _allocate(self, line: int) -> tuple[int, Eviction | None] | None:
+        """Claim a slot in ``line``'s set in RESERVED state; None when
+        every way is reserved.  Single pass: stops at the first INVALID
+        way, else evicts the least recently used VALID way (strict <, so
+        the first minimum wins ties)."""
+        state = self._state
+        stamps = self._last_use
+        base = (line & (self.n_sets - 1)) * self.assoc
+        victim = -1
         evicted = None
         best_stamp = 0
-        for way_idx, way in enumerate(ways):
-            state = way.state
-            if state is LineState.INVALID:
-                victim_idx = way_idx
+        for slot in range(base, base + self.assoc):
+            slot_state = state[slot]
+            if slot_state is LineState.INVALID:
+                victim = slot
                 break
-            if state is LineState.VALID:
-                stamp = stamps[way_idx]
-                if victim_idx is None or stamp < best_stamp:
-                    victim_idx = way_idx
+            if slot_state is LineState.VALID:
+                stamp = stamps[slot]
+                if victim < 0 or stamp < best_stamp:
+                    victim = slot
                     best_stamp = stamp
         else:
-            if victim_idx is None:
+            if victim < 0:
                 return None
-            victim = ways[victim_idx]
-            evicted = Eviction(line=victim.tag, dirty=victim.dirty)
-            del self._tag_map[set_idx][victim.tag]
-        way = ways[victim_idx]
-        way.tag = line
-        way.state = LineState.RESERVED
-        way.dirty = False
-        self._tag_map[set_idx][line] = victim_idx
-        return victim_idx, evicted
+            old = self._tag[victim]
+            evicted = Eviction(line=old, dirty=self._dirty[victim])
+            del self._slot_of[old]
+        self._tag[victim] = line
+        state[victim] = LineState.RESERVED
+        self._dirty[victim] = False
+        self._slot_of[line] = victim
+        return victim, evicted
 
     def reserve(self, line: int, now: int) -> Eviction | None | bool:
         """Reserve a way for a future fill of ``line``.
@@ -151,7 +144,7 @@ class TagArray:
         otherwise the :class:`Eviction` displaced (or None).  The victim is
         the least recently used non-reserved way, preferring invalid ways.
         """
-        result = self._allocate(line & (self.n_sets - 1), line)
+        result = self._allocate(line)
         if result is None:
             self.reservation_fails += 1
             return False
@@ -164,34 +157,29 @@ class TagArray:
         allocates a victim directly (the L1 path, which does not reserve).
         Returns any displaced line.
         """
-        set_idx = line & (self.n_sets - 1)
-        way_idx = self._tag_map[set_idx].get(line)
+        slot = self._slot_of.get(line)
         evicted: Eviction | None = None
-        if way_idx is None:
-            result = self._allocate(set_idx, line)
+        if slot is None:
+            result = self._allocate(line)
             if result is None:
                 raise SimulationError(
                     f"{self.name}: fill of {line:#x} found no allocatable way"
                 )
-            way_idx, evicted = result
-        way = self._sets[set_idx][way_idx]
-        way.state = LineState.VALID
-        way.dirty = dirty
-        self._last_use[set_idx][way_idx] = now
+            slot, evicted = result
+        self._state[slot] = LineState.VALID
+        self._dirty[slot] = dirty
+        self._last_use[slot] = now
         return evicted
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present and VALID; True when something dropped."""
-        set_idx, way_idx = self._find(line)
-        if way_idx is None:
+        slot = self._slot_of.get(line)
+        if slot is None or self._state[slot] is not LineState.VALID:
             return False
-        way = self._sets[set_idx][way_idx]
-        if way.state is not LineState.VALID:
-            return False
-        del self._tag_map[set_idx][line]
-        way.state = LineState.INVALID
-        way.tag = -1
-        way.dirty = False
+        del self._slot_of[line]
+        self._state[slot] = LineState.INVALID
+        self._tag[slot] = -1
+        self._dirty[slot] = False
         return True
 
     # ------------------------------------------------------------------
@@ -203,18 +191,8 @@ class TagArray:
 
     def occupancy(self) -> int:
         """Number of VALID lines currently held."""
-        return sum(
-            1
-            for ways in self._sets
-            for way in ways
-            if way.state is LineState.VALID
-        )
+        return self._state.count(LineState.VALID)
 
     def reserved_count(self) -> int:
         """Number of RESERVED ways (outstanding fills)."""
-        return sum(
-            1
-            for ways in self._sets
-            for way in ways
-            if way.state is LineState.RESERVED
-        )
+        return self._state.count(LineState.RESERVED)

@@ -16,6 +16,10 @@ Pipeline per cycle:
 A CAS only issues when the data bus is booked at most a small window
 ahead, and reads only while in-flight reads leave headroom in the return
 queue, so completions can never wedge the controller.
+
+A scheduler scan that finds no command is not repeated until its answer
+can change: a bank's timing expires, the bus gate opens, a request is
+admitted, the L2 pops the return queue, or a refresh runs.
 """
 
 from __future__ import annotations
@@ -67,6 +71,11 @@ class DRAMChannel(Component):
         )
         self._reads_in_flight = 0
         self._next_refresh = cfg.refresh_interval or None
+        #: Select gate: after a scan found nothing at event epoch
+        #: ``_idle_epoch`` (see :meth:`_epoch`), the next scan waits for
+        #: cycle ``_retry_at`` or for the epoch to move.
+        self._idle_epoch = -1
+        self._retry_at = 0
         #: Set by the GPU wiring: the L2 slice whose miss queue we drain.
         self.l2 = None
         # --- statistics ---
@@ -80,48 +89,54 @@ class DRAMChannel(Component):
     # component protocol
     # ------------------------------------------------------------------
     def step(self, now: int) -> None:
+        sched = self.sched_queue._items
+        heap = self._completions._heap
+        miss = self.l2.miss_queue._items if self.l2 is not None else ()
         # Fast path: controller completely idle and nothing to admit.
-        if (
-            not self.sched_queue._items
-            and not self._completions._heap
-            and (self.l2 is None or not self.l2.miss_queue._items)
-        ):
+        if not (sched or heap or miss):
             return
         if self._next_refresh is not None and now >= self._next_refresh:
             self._refresh(now)
-        self._retire(now)
-        self._admit(now)
-        self._issue(now)
+        if heap and heap[0][0] <= now:
+            self._retire(now)
+        if miss:
+            self._admit(now)
+        if sched:
+            self._issue(now)
 
     def next_wake(self, now: int) -> int:
         # Mirrors step(): the idle fast path defers even refreshes, so an
         # idle channel sleeps until external input (the L2 miss queue,
         # which the L2's own hint covers).
-        if self.l2 is not None and self.l2.miss_queue._items:
-            return now
-        wake = WAKE_NEVER
+        sched = self.sched_queue._items
         heap = self._completions._heap
-        if heap:
-            ready = heap[0][0]
-            if ready <= now:
-                return now  # a completion retires (or head-of-line blocks)
-            wake = ready
-        if self.sched_queue._items:
-            # A command can issue as soon as any bank's timing expires; the
-            # bus-booking window only ever delays a CAS past that point.
-            busy = self.bank_file.min_busy()
-            if busy <= now:
-                return now
-            if busy < wake:
-                wake = busy
-        if wake != WAKE_NEVER and self._next_refresh is not None:
-            # Busy channels take refresh lockouts at their due cycle.
-            refresh = self._next_refresh
-            if refresh <= now:
-                return now
-            if refresh < wake:
-                wake = refresh
-        return wake
+        miss = self.l2.miss_queue._items if self.l2 is not None else ()
+        if not (sched or heap or miss):
+            return WAKE_NEVER
+        if miss and len(sched) < self.sched_queue.capacity:
+            return now  # admit
+        # Busy channels take refresh lockouts at their due cycle.
+        refresh = self._next_refresh
+        wake = WAKE_NEVER if refresh is None else refresh
+        if heap and heap[0][0] < wake:
+            wake = heap[0][0]  # a completion retires (or head-of-line blocks)
+        if sched:
+            # A gated scan waits for its retry cycle; otherwise a command
+            # can issue as soon as any bank's timing expires.
+            if self._epoch() == self._idle_epoch:
+                retry = self._retry_at
+            else:
+                retry = self.bank_file.min_busy()
+            if retry < wake:
+                wake = retry
+        return wake if wake > now else now
+
+    def _epoch(self) -> int:
+        """Count of the events that can change a scan's answer other than
+        time: admits, return-queue pops (the only change to read
+        headroom, since a retire moves a read from in-flight into the
+        queue) and refreshes."""
+        return self.sched_queue.pushes + self.return_queue.pops + self.refreshes
 
     def _refresh(self, now: int) -> None:
         """Lock every bank out for a refresh and close its row."""
@@ -154,11 +169,8 @@ class DRAMChannel(Component):
         """Move one request per cycle from the L2 miss queue to the
         scheduler queue (back-pressure lands in the miss queue when the
         scheduler queue is full)."""
-        if self.l2 is None:
-            return
-        miss_queue = self.l2.miss_queue
-        if not miss_queue.empty and self.sched_queue.can_push():
-            request = miss_queue.pop(now)
+        if self.sched_queue.can_push():
+            request = self.l2.miss_queue.pop(now)
             request.stamp("dram_in", now)
             # Cache the bank/row coordinates once; the scheduler's
             # first-ready scan consults them every cycle the request waits.
@@ -167,34 +179,42 @@ class DRAMChannel(Component):
             self.sched_queue.push(request, now)
 
     def _issue(self, now: int) -> None:
-        if self.sched_queue.empty:
-            return
-        # Both command kinds need a bank whose timing has expired, so a
-        # channel with every bank mid-access can skip the queue scan.
+        epoch = self._epoch()
+        if epoch == self._idle_epoch and now < self._retry_at:
+            return  # the last scan's answer cannot have changed yet
         bank_file = self.bank_file
-        if bank_file.min_busy() > now:
-            return
         timing = self._config.dram
-        headroom = self.return_queue.capacity - len(self.return_queue)
         bus_gate_ok = (
             self._bus_free_at - (now + timing.t_cas) <= self._bus_window
         )
-
-        def cas_ok(request: MemoryRequest) -> bool:
-            if not bus_gate_ok:
-                return False
-            if request.kind is AccessKind.WRITEBACK:
-                return True
-            return self._reads_in_flight < headroom
-
-        choice = self._scheduler.select(
-            self.sched_queue,
-            bank_file.busy_until,
-            bank_file.open_row,
-            now,
-            cas_ok,
-        )
+        # Both command kinds need a bank whose timing has expired, so a
+        # channel with every bank mid-access skips the queue scan.  Short
+        # of an event, only time changes a failed scan's answer: a bank's
+        # timing expiring or the bus gate opening.
+        choice = None
+        retry = bank_file.min_busy()
+        if retry <= now:
+            choice = self._scheduler.select(
+                self.sched_queue,
+                bank_file.busy_until,
+                bank_file.open_row,
+                now,
+                bus_gate_ok,
+                self.return_queue.capacity - len(self.return_queue)
+                - self._reads_in_flight,
+            )
+            retry = WAKE_NEVER
+            if choice is None:
+                for busy in bank_file.busy_until:
+                    if now < busy < retry:
+                        retry = busy
         if choice is None:
+            if not bus_gate_ok:
+                opens = self._bus_free_at - timing.t_cas - self._bus_window
+                if opens < retry:
+                    retry = opens
+            self._idle_epoch = epoch
+            self._retry_at = retry
             return
         command, request = choice
         bank = request.dram_bank

@@ -77,7 +77,9 @@ class Crossbar(Component):
         #: Packet port-occupancy in cycles: ceil(flits / lanes).
         self._cycles_of = lambda req: max(1, -(-flit_count(req) // lanes))
         self._lanes = lanes
-        self._stamp_hop = stamp_hop
+        #: Per-hop timestamp keys, formatted once.
+        self._stamp_in = f"{stamp_hop}_in"
+        self._stamp_out = f"{stamp_hop}_out"
         self._inputs = [
             _InputPort(ICNT_INPUT_QUEUE_PKTS) for _ in sources
         ]
@@ -130,7 +132,7 @@ class Crossbar(Component):
                 continue
             while port.has_room and not src.empty:
                 request = src.pop(now)
-                request.stamp(f"{self._stamp_hop}_in", now)
+                request.stamp(self._stamp_in, now)
                 dest = self._route(request)
                 if not port.fifo:
                     self._active_inputs += 1
@@ -168,7 +170,7 @@ class Crossbar(Component):
                 continue
             self.flits_sent += 1
             self.packets_delivered += 1
-            packet.request.stamp(f"{self._stamp_hop}_out", now)
+            packet.request.stamp(self._stamp_out, now)
             sink.accept(packet.request, now)
             port.fifo.popleft()
             if not port.fifo:

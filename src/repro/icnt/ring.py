@@ -66,7 +66,9 @@ class RingNetwork(Component):
         self._sources = sources
         self._sinks = sinks
         self._route = route
-        self._stamp_hop = stamp_hop
+        #: Per-hop timestamp keys, formatted once.
+        self._stamp_in = f"{stamp_hop}_in"
+        self._stamp_out = f"{stamp_hop}_out"
         self._hop_latency = hop_latency
         lanes = config.icnt.channel_lanes
         self._cycles_of = lambda req: max(1, -(-flit_count(req) // lanes))
@@ -153,7 +155,7 @@ class RingNetwork(Component):
             if len(self._arrivals[out_idx]) >= self.ARRIVAL_BUFFER:
                 continue
             source.pop(now)
-            request.stamp(f"{self._stamp_hop}_in", now)
+            request.stamp(self._stamp_in, now)
             arrive = now
             for link in links:
                 start = max(arrive, link.free_at)
@@ -172,7 +174,7 @@ class RingNetwork(Component):
             sink = self._sinks[out_idx]
             while buffer and sink.can_accept(buffer[0]):
                 request = buffer.popleft()
-                request.stamp(f"{self._stamp_hop}_out", now)
+                request.stamp(self._stamp_out, now)
                 sink.accept(request, now)
                 self.packets_delivered += 1
             if buffer:

@@ -346,7 +346,12 @@ class BatchRunner:
                         "job_start", key=key, job=job.describe(),
                         attempt=attempts[key],
                     )
-                    futures[pool.submit(_pool_execute, job)] = key
+                    try:
+                        futures[pool.submit(_pool_execute, job)] = key
+                    except BrokenProcessPool:
+                        # A worker died while this round was still being
+                        # submitted: same fate as an outstanding future.
+                        crashed.append(key)
                 for future in as_completed(futures):
                     key = futures[future]
                     try:

@@ -288,13 +288,17 @@ class ReproDaemon:
         submission = self._get(sub_id)
         if not isinstance(since, int) or since < 0:
             raise ServiceError("bad-request", "'since' must be an int >= 0")
+        # State before records: the end event is logged before the state
+        # turns terminal, so a terminal state read first guarantees the
+        # records below include it.
+        state = submission.state
         records: list[dict[str, Any]] = []
         if submission.events_path is not None:
             records = _read_jsonl(submission.events_path)
         return {
             "ok": True,
             "id": submission.id,
-            "state": submission.state,
+            "state": state,
             "events": records[since:],
             "next": len(records),
         }

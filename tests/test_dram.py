@@ -203,7 +203,7 @@ class TestSchedulers:
         queue = self._queue_with(mapper, [old, young])
         # "old" also maps to the same row here, so pick oldest hit = old.
         choice = sched.select(
-            queue, banks.busy_until, banks.open_row, 0, lambda r: True
+            queue, banks.busy_until, banks.open_row, 0, True, 1
         )
         assert choice == (CAS, old)
 
@@ -216,7 +216,7 @@ class TestSchedulers:
         a = read(0, 0)
         queue = self._queue_with(mapper, [a])
         choice = sched.select(
-            queue, banks.busy_until, banks.open_row, 0, lambda r: True
+            queue, banks.busy_until, banks.open_row, 0, True, 1
         )
         assert choice == (ACTIVATE, a)
 
@@ -235,9 +235,10 @@ class TestSchedulers:
         conflict = read(1, conflict_local * cfg.n_partitions)
         assert mapper.dram_bank(conflict.line) == bank_idx
         queue = self._queue_with(mapper, [conflict, hit])
-        # The hit is bus-gated (cas_ok False); activate must NOT fire on its bank.
+        # The hit is bus-gated (bus_gate_ok False); activate must NOT fire
+        # on its bank.
         choice = sched.select(
-            queue, banks.busy_until, banks.open_row, 0, lambda r: False
+            queue, banks.busy_until, banks.open_row, 0, False, 1
         )
         assert choice is None
 
@@ -252,7 +253,7 @@ class TestSchedulers:
         queue = self._queue_with(mapper, [a, b])
         # b is a ready row hit but FCFS must handle a first (activate).
         choice = sched.select(
-            queue, banks.busy_until, banks.open_row, 0, lambda r: True
+            queue, banks.busy_until, banks.open_row, 0, True, 1
         )
         # a and b share the open row in this mapping? ensure decision is for a.
         assert choice[1] is a
@@ -282,3 +283,91 @@ class TestReturnPathGuard:
             if drained == 8:
                 break
         assert drained == 8
+
+
+class SpyScheduler:
+    """Delegating scheduler that records the cycle and outcome of every
+    ``select`` call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def select(self, queue, busy_until, open_row, now, bus_gate_ok, read_headroom):
+        choice = self.inner.select(
+            queue, busy_until, open_row, now, bus_gate_ok, read_headroom
+        )
+        self.calls.append((now, choice and choice[0]))
+        return choice
+
+
+def spied_channel(**dram_kwargs):
+    channel, l2, mapper, cfg = make_channel(**dram_kwargs)
+    spy = channel._scheduler = SpyScheduler(channel._scheduler)
+    return channel, l2, mapper, cfg, spy
+
+
+def block_on_headroom(channel, l2, cfg, line=0):
+    """Fill the one-slot return queue, then queue a read that opens its
+    row but cannot CAS: the scan finds nothing, and no bank timing or
+    bus gate is pending.  Returns the cycle the channel reached."""
+    channel.return_queue.push(read(99, cfg.n_partitions), 0)
+    l2.miss_queue.push(read(0, line), 0)
+    for cycle in range(200):
+        channel.step(cycle)
+    assert channel.sched_queue._items and channel.reads == 0
+    return 200
+
+
+class TestSelectGate:
+    def test_select_not_rerun_while_nothing_changes(self):
+        channel, l2, mapper, cfg, spy = spied_channel(return_queue_depth=1)
+        cycle = block_on_headroom(channel, l2, cfg)
+        scans = len(spy.calls)
+        assert spy.calls[-1] == (cfg.dram.t_rcd, None)  # the blocked CAS
+        for c in range(cycle, cycle + 500):
+            assert channel.next_wake(c) > c
+            channel.step(c)
+        assert len(spy.calls) == scans
+
+    def test_return_queue_pop_reruns_select(self):
+        channel, l2, mapper, cfg, spy = spied_channel(return_queue_depth=1)
+        cycle = block_on_headroom(channel, l2, cfg)
+        channel.return_queue.pop(cycle)
+        assert channel.next_wake(cycle + 1) == cycle + 1
+        channel.step(cycle + 1)
+        assert spy.calls[-1] == (cycle + 1, CAS)
+
+    def test_admit_reruns_select(self):
+        channel, l2, mapper, cfg, spy = spied_channel(return_queue_depth=1)
+        cycle = block_on_headroom(channel, l2, cfg)
+        l2.miss_queue.push(writeback(1, cfg.n_partitions), cycle)
+        channel.step(cycle + 1)
+        # The writeback hits the open row and needs no return slot, so
+        # the rerun issues its CAS past the blocked read.
+        assert spy.calls[-1] == (cycle + 1, CAS)
+        assert channel.sched_queue._items[0].rid == 0
+
+    def test_select_reruns_at_bank_retry_cycle(self):
+        channel, l2, mapper, cfg, spy = spied_channel()
+        bank = mapper.dram_bank(0)
+        channel.bank_file.busy_until[bank] = 100
+        l2.miss_queue.push(read(0, 0), 0)
+        for c in range(101):
+            if 0 < c < 100:
+                assert channel.next_wake(c) == 100
+            channel.step(c)
+        assert spy.calls == [(0, None), (100, ACTIVATE)]
+
+    def test_refresh_reruns_select(self):
+        interval, lockout = 300, 10
+        channel, l2, mapper, cfg, spy = spied_channel(
+            return_queue_depth=1, refresh_interval=interval,
+            refresh_cycles=lockout,
+        )
+        cycle = block_on_headroom(channel, l2, cfg)
+        scans = len(spy.calls)
+        for c in range(cycle, interval + lockout + 1):
+            channel.step(c)
+        # The refresh closed the row, so the rerun re-activates it.
+        assert spy.calls[scans:] == [(interval + lockout, ACTIVATE)]

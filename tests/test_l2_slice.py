@@ -184,3 +184,66 @@ class TestReservation:
         # actually exercised (reserved ways or MSHR capacity ran out).
         assert responses == len(same_set)
         assert l2.tags.reservation_fails + l2.mshr.alloc_fails >= 1
+
+
+def spy_resolve(l2):
+    """Record the cycle of every ``_resolve`` call on ``l2``."""
+    calls = []
+    resolve = l2._resolve
+
+    def spy(bank, now):
+        calls.append(now)
+        return resolve(bank, now)
+
+    l2._resolve = spy
+    return calls
+
+
+def hold_in_bank(l2, request, start=0):
+    """Step ``l2`` alone until ``request`` sits in a bank output register."""
+    l2.access_queue.push(request, start)
+    for c in range(start, start + 100):
+        l2.step(c)
+        if any(bank.output is request for bank in l2.banks):
+            return c
+    raise AssertionError("request never reached a bank output")  # noqa: REP003 - test-helper failure, not simulator code
+
+
+class TestStallGates:
+    def test_miss_on_full_miss_queue_waits_for_a_pop(self):
+        l2, dram, mapper, cfg = make_partition()
+        # Leave one free miss-queue slot: a new miss needs two.
+        for i in range(l2.miss_queue.capacity - 1):
+            l2.miss_queue.push(load(100 + i, (i + 1) * cfg.n_partitions), 0)
+        calls = spy_resolve(l2)
+        request = load(0, 64 * cfg.n_partitions)
+        held_at = hold_in_bank(l2, request)
+        assert calls == [held_at]
+        for c in range(held_at + 1, held_at + 50):
+            assert l2.next_wake(c) > c
+            l2.step(c)
+        assert calls == [held_at]  # not retried while nothing changed
+        pop_at = held_at + 50
+        l2.miss_queue.pop(pop_at)
+        assert l2.next_wake(pop_at + 1) == pop_at + 1
+        l2.step(pop_at + 1)
+        assert calls == [held_at, pop_at + 1]
+        assert request.timestamps["l2_miss"] == pop_at + 1
+        assert l2.miss_queue._items[-1] is request
+
+    def test_load_hit_blocked_on_port_wakes_every_cycle(self):
+        l2, dram, mapper, cfg = make_partition()
+        l2.access_queue.push(load(0, 0), 0)
+        run_partition(l2, dram, 400)
+        l2.response_queue.pop(400)
+        l2._port_free_at = 10_000  # data port busy far ahead
+        calls = spy_resolve(l2)
+        request = load(1, 0)
+        held_at = hold_in_bank(l2, request, start=401)
+        for c in range(held_at + 1, held_at + 20):
+            assert l2.next_wake(c) == c
+            l2.step(c)
+        # Each retry re-probes, so the hit's LRU stamp stays current.
+        assert calls == list(range(held_at, held_at + 20))
+        slot = l2.tags._slot_of[mapper.local_line(0)]
+        assert l2.tags._last_use[slot] == held_at + 19

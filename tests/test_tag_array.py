@@ -112,6 +112,34 @@ class TestOccupancy:
         assert tags.occupancy() == 2
         assert tags.reserved_count() == 1
 
+    def test_counts_span_every_set_of_the_flat_layout(self):
+        tags = make(n_sets=4, assoc=2)
+        for line in range(8):  # both ways of all four sets
+            if line % 2:
+                tags.reserve(line, line)
+            else:
+                tags.fill(line, line)
+        assert (tags.occupancy(), tags.reserved_count()) == (4, 4)
+        tags.fill(1, 10)  # a reserved way turns VALID
+        tags.invalidate(0)
+        assert (tags.occupancy(), tags.reserved_count()) == (4, 3)
+
+    def test_evictions_stay_within_their_set(self):
+        tags = make(n_sets=4, assoc=2)
+        others = [1, 2, 3, 5, 6, 7]  # both ways of sets 1-3
+        for t, line in enumerate(others):
+            tags.fill(line, t)
+        set0 = slice(0, tags.assoc)
+        rest = slice(tags.assoc, None)
+        before = (tags._tag[rest], tags._state[rest], tags._dirty[rest],
+                  tags._last_use[rest])
+        evicted = [tags.fill(4 * k, 100 + k) for k in range(10)]
+        assert [e.line for e in evicted if e] == [4 * k for k in range(8)]
+        assert sorted(tags._tag[set0]) == [32, 36]
+        assert (tags._tag[rest], tags._state[rest], tags._dirty[rest],
+                tags._last_use[rest]) == before
+        assert all(tags.state_of(line) is LineState.VALID for line in others)
+
 
 @given(
     st.lists(st.integers(0, 30), min_size=1, max_size=200),
