@@ -34,6 +34,11 @@ def scale() -> float:
 
 
 @pytest.fixture(scope="session")
+def seed() -> int:
+    return SEED
+
+
+@pytest.fixture(scope="session")
 def baseline_config():
     return small_gpu()
 

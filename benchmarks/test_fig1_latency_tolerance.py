@@ -13,29 +13,26 @@ to the true baseline.  Asserts the paper's two observations:
 
 import pytest
 
-from repro import PAPER_SUITE, profile_latency_tolerance
-from repro.core.latency_profile import IDEAL_DRAM_LATENCY, IDEAL_L2_LATENCY
+from repro import PAPER_SUITE
+from repro.core.latency_profile import IDEAL_DRAM_LATENCY, profile_latency_suite
 from repro.core.report import render_figure1
+from repro.core.validation import CLAIMS, MEMORY_BOUND
 
 LATENCIES = tuple(range(0, 801, 100))
 
-#: Benchmarks the paper's figure shows as strongly latency/bandwidth bound.
-MEMORY_BOUND = ("cfd", "dwt2d", "nn", "sc", "lbm", "ss")
-#: The compute-bound outlier with the flattest curve.
-COMPUTE_BOUND = "leukocyte"
+
+@pytest.fixture(scope="module")
+def fig1_profiles(baseline_config, scale, seed):
+    """The whole suite's Figure 1 curves, run once as one batch."""
+    return profile_latency_suite(
+        baseline_config, PAPER_SUITE, LATENCIES, iteration_scale=scale,
+        seed=seed)
 
 
 @pytest.mark.benchmark(group="fig1")
-def test_fig1_latency_tolerance(benchmark, baseline_config, scale, save_report):
-    def run():
-        return [
-            profile_latency_tolerance(
-                name, baseline_config, latencies=LATENCIES,
-                iteration_scale=scale)
-            for name in PAPER_SUITE
-        ]
-
-    profiles = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig1_latency_tolerance(benchmark, fig1_profiles, save_report):
+    profiles = benchmark.pedantic(
+        lambda: fig1_profiles, rounds=1, iterations=1)
     save_report("fig1_latency_tolerance", render_figure1(profiles))
 
     by_name = {p.benchmark: p for p in profiles}
@@ -45,23 +42,19 @@ def test_fig1_latency_tolerance(benchmark, baseline_config, scale, save_report):
         intercept = profile.intercept_latency()
         benchmark.extra_info[f"{profile.benchmark}_intercept"] = (
             None if intercept is None else round(intercept))
-        # Shape: every curve is non-increasing in latency (small tolerance
-        # for simulation noise).
-        ipcs = [pt.ipc for pt in profile.points]
-        for earlier, later in zip(ipcs, ipcs[1:]):
-            assert later <= earlier * 1.05, profile.benchmark
+    # Shape: every curve is non-increasing in latency (small tolerance
+    # for simulation noise).
+    assert CLAIMS["fig1_curves_fall"].check(by_name).passed
 
     # Observation 1: memory-bound benchmarks sit far from their plateau.
     for name in MEMORY_BOUND:
         assert by_name[name].peak_normalized_ipc > 2.0, name
     # The compute-bound benchmark barely moves.
-    assert by_name[COMPUTE_BOUND].peak_normalized_ipc < 1.5
+    assert CLAIMS["fig1_compute_flat"].check(by_name).passed
 
     # Observation 2: effective baseline latencies exceed the unloaded L2
     # latency for all memory-bound benchmarks...
-    for name in MEMORY_BOUND:
-        intercept = by_name[name].intercept_latency()
-        assert intercept is not None and intercept > IDEAL_L2_LATENCY, name
+    assert CLAIMS["fig1_intercepts_high"].check(by_name).passed
     # ...and exceed the unloaded DRAM latency for most (congestion).
     beyond_dram = sum(
         1 for name in MEMORY_BOUND
@@ -71,18 +64,12 @@ def test_fig1_latency_tolerance(benchmark, baseline_config, scale, save_report):
 
 
 @pytest.mark.benchmark(group="fig1")
-def test_fig1_intercept_matches_measured_latency(
-    benchmark, baseline_config, scale
-):
+def test_fig1_intercept_matches_measured_latency(benchmark, fig1_profiles):
     """Methodology self-check: the 1.0x intercept independently estimates
     the baseline's measured average L1 miss latency."""
-
-    def run():
-        return profile_latency_tolerance(
-            "sc", baseline_config, latencies=LATENCIES,
-            iteration_scale=scale)
-
-    profile = benchmark.pedantic(run, rounds=1, iterations=1)
+    by_name = {p.benchmark: p for p in fig1_profiles}
+    profile = benchmark.pedantic(
+        lambda: by_name["sc"], rounds=1, iterations=1)
     intercept = profile.intercept_latency()
     measured = profile.baseline_avg_miss_latency
     benchmark.extra_info["intercept"] = round(intercept)

@@ -8,13 +8,12 @@ modest, L1-alone is marginal.
 
 import pytest
 
-from repro.core.report import PAPER_AVG_GAINS, render_section_iv
+from repro.core.report import render_section_iv
+from repro.core.validation import CLAIMS, PAPER_AVG_GAINS
 
 
 @pytest.mark.benchmark(group="sec4")
-def test_sec4_isolated_scaling(
-    benchmark, section_iv_exploration, save_report
-):
+def test_sec4_isolated_scaling(benchmark, section_iv_exploration, save_report):
     result = benchmark.pedantic(
         lambda: section_iv_exploration, rounds=1, iterations=1)
     save_report("sec4_speedups", render_section_iv(result))
@@ -25,7 +24,7 @@ def test_sec4_isolated_scaling(
         benchmark.extra_info[f"{level}_gain_paper"] = PAPER_AVG_GAINS[level]
 
     # Ordering: L2 >> DRAM > L1 (paper: 59% >> 11% > 4%).
-    assert gains["l2"] > gains["dram"] > gains["l1"]
+    assert CLAIMS["sec4_l2_dominates"].check(result).passed
     # Magnitudes: L2 is a large win, DRAM modest, L1 marginal.
     assert gains["l2"] > 0.25
     assert 0.0 < gains["dram"] < gains["l2"] / 2
@@ -33,7 +32,7 @@ def test_sec4_isolated_scaling(
 
     # The paper's central claim: scaling the cache hierarchy (L1+L2)
     # exceeds a baseline cache hierarchy with high-bandwidth DRAM.
-    assert result.average_gain("l1+l2") > gains["dram"]
+    assert CLAIMS["sec4_cache_beats_dram"].check(result).passed
 
 
 @pytest.mark.benchmark(group="sec4")

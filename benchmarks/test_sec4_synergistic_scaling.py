@@ -13,6 +13,7 @@ combination is the largest overall gain.
 import pytest
 
 from repro import analyze_synergy
+from repro.core.validation import CLAIMS
 
 
 @pytest.mark.benchmark(group="sec4")
@@ -30,7 +31,7 @@ def test_sec4_synergistic_scaling(
         benchmark.extra_info[f"{label}_synergy"] = round(pair.synergy, 3)
 
     # Super-additivity of both combinations.
-    assert analysis.all_super_additive
+    assert CLAIMS["sec4_superadditive"].check(section_iv_exploration).passed
     # Both combinations beat every isolated level.
     result = section_iv_exploration
     best_isolated = max(

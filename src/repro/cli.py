@@ -28,7 +28,10 @@ Every experiment in the paper can be regenerated from the shell::
     repro cancel ID --socket repro.sock
 
 All experiment commands accept ``--scale`` (iteration scale, default 1.0;
-smaller is faster), ``--config`` (small / fermi / tiny) and ``--seed``.
+smaller is faster), ``--config`` (small / fermi / tiny) and ``--seed``
+(``replicate`` takes ``--seeds`` instead).  The suite commands
+(``congestion``, ``latency-profile``, ``explore``, ``diagnose``,
+``export``) also take ``--benchmarks``.
 
 Batch commands (``run``, ``congestion``, ``latency-profile``, ``explore``,
 ``replicate``, ``export``) additionally accept ``--jobs N`` (process-pool
@@ -93,7 +96,7 @@ from repro.core.latency_breakdown import (
 )
 from repro.core.design_space import render_table_i
 from repro.core.explorer import explore_design_space
-from repro.core.latency_profile import profile_latency_tolerance
+from repro.core.latency_profile import profile_latency_suite
 from repro.core.metrics import run_kernel
 from repro.core.profile import (
     config_for_label,
@@ -143,30 +146,33 @@ from repro.utils.tables import render_table
 from repro.workloads.suite import PAPER_SUITE, SPECS, get_benchmark
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_machine(parser: argparse.ArgumentParser) -> None:
+    """``--config`` and ``--scale``, read by every experiment command."""
     parser.add_argument(
         "--config", choices=sorted(NAMED_CONFIGS), default="small",
         help="architecture configuration (default: small)")
     parser.add_argument(
         "--scale", type=float, default=1.0,
         help="benchmark iteration scale; < 1 runs faster (default: 1.0)")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The machine flags plus ``--seed``."""
+    _add_machine(parser)
     parser.add_argument("--seed", type=int, default=1)
+
+
+def _add_benchmarks(parser: argparse.ArgumentParser) -> None:
+    """``--benchmarks``, for the commands that run a suite."""
     parser.add_argument(
         "--benchmarks", nargs="*", default=list(PAPER_SUITE),
-        metavar="NAME", help="subset of the suite to run")
+        metavar="NAME", help="subset of the suite to run (default: the suite)")
 
 
 def _add_sweep(parser: argparse.ArgumentParser) -> None:
     """Sweep-matrix flags shared by ``campaign run`` and ``submit``."""
-    parser.add_argument(
-        "--config", choices=sorted(NAMED_CONFIGS), default="small",
-        help="architecture configuration (default: small)")
-    parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="benchmark iteration scale (default: 1.0)")
-    parser.add_argument(
-        "--benchmarks", nargs="*", default=list(PAPER_SUITE),
-        metavar="NAME", help="benchmarks in the sweep (default: the suite)")
+    _add_machine(parser)
+    _add_benchmarks(parser)
     parser.add_argument(
         "--seeds", nargs="*", type=int, default=[1], metavar="SEED",
         help="seeds in the sweep (default: 1)")
@@ -400,15 +406,10 @@ def _cmd_congestion(args: argparse.Namespace) -> int:
 
 
 def _cmd_latency_profile(args: argparse.Namespace) -> int:
-    config = _config(args)
     runner = _make_runner(args)
-    latencies = args.latencies or list(range(0, 801, 100))
-    profiles = [
-        profile_latency_tolerance(
-            name, config, latencies=latencies,
-            iteration_scale=args.scale, seed=args.seed, runner=runner)
-        for name in args.benchmarks
-    ]
+    profiles = profile_latency_suite(
+        _config(args), args.benchmarks, args.latencies or range(0, 801, 100),
+        iteration_scale=args.scale, seed=args.seed, runner=runner)
     print(render_figure1(profiles))
     _note_batch(
         runner,
@@ -794,6 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     cong = sub.add_parser(
         "congestion", help="Section III: queue-occupancy measurement")
     _add_common(cong)
+    _add_benchmarks(cong)
     _add_runner(cong)
     cong.set_defaults(func=_cmd_congestion)
 
@@ -803,18 +805,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--latencies", nargs="*", type=int, default=None,
         help="explicit latency points (default 0..800 in steps of 100)")
     _add_common(prof)
+    _add_benchmarks(prof)
     _add_runner(prof)
     prof.set_defaults(func=_cmd_latency_profile)
 
     explore = sub.add_parser(
         "explore", help="Section IV: design-space exploration")
     _add_common(explore)
+    _add_benchmarks(explore)
     _add_runner(explore)
     explore.set_defaults(func=_cmd_explore)
 
     diagnose = sub.add_parser(
         "diagnose", help="classify each benchmark's dominant bottleneck")
     _add_common(diagnose)
+    _add_benchmarks(diagnose)
     diagnose.set_defaults(func=_cmd_diagnose)
 
     breakdown = sub.add_parser(
@@ -828,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     repl.add_argument("benchmark", choices=sorted(SPECS))
     repl.add_argument(
         "--seeds", nargs="*", type=int, default=[1, 2, 3, 4, 5])
-    _add_common(repl)
+    _add_machine(repl)
     _add_runner(repl)
     repl.set_defaults(func=_cmd_replicate)
 
@@ -840,6 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="export format: flat csv or nested json preserving the "
              "queue families (default: csv)")
     _add_common(export)
+    _add_benchmarks(export)
     _add_runner(export)
     export.set_defaults(func=_cmd_export)
 

@@ -3,7 +3,9 @@
 "We quantify the congestion between L1 and L2 by measuring the occupancy
 of the L2 access queues.  We observe that on average, the L2 access queues
 are full for 46% of their usage lifetime.  Similarly ... the DRAM access
-queues are full for 39% of their usage lifetime."
+queues are full for 39% of their usage lifetime."  Those two numbers,
+and the band a reproduction must land in, are declared once in
+:mod:`repro.core.validation`.
 
 :func:`measure_congestion` runs the suite on the baseline configuration
 and reports, per benchmark and averaged, the full-fraction of every queue
@@ -35,14 +37,14 @@ class CongestionReport:
     # -- Section III headline numbers -----------------------------------
     @property
     def avg_l2_access_queue_full(self) -> float:
-        """Paper: 46% on the GTX480 baseline."""
+        """Paper: ``PAPER_L2_ACCESSQ_FULL`` (:mod:`repro.core.validation`)."""
         return arithmetic_mean(
             m.l2_accessq.full_fraction for m in self.runs.values()
         )
 
     @property
     def avg_dram_queue_full(self) -> float:
-        """Paper: 39% on the GTX480 baseline."""
+        """Paper: ``PAPER_DRAM_SCHEDQ_FULL`` (:mod:`repro.core.validation`)."""
         return arithmetic_mean(
             m.dram_schedq.full_fraction for m in self.runs.values()
         )

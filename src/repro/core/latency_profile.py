@@ -16,12 +16,13 @@ architecture (y-axis).  Two observations fall out of each curve:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.sim.engine import DEFAULT_MAX_CYCLES
 from repro.core.metrics import RunMetrics, run_kernel
 from repro.sim.config import GPUConfig
 from repro.workloads.program import KernelProgram
+from repro.workloads.suite import PAPER_SUITE
 from repro.runner import BatchRunner, Job
 
 #: The paper's x-axis: 0..800 cycles in steps of 50.
@@ -113,6 +114,73 @@ class LatencyProfile:
         return [(float(p.latency), p.normalized_ipc) for p in self.points]
 
 
+def latency_profile_jobs(
+    config: GPUConfig,
+    benchmarks: Sequence[str],
+    latencies: Sequence[int],
+    iteration_scale: float = 1.0,
+    seed: int = 1,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
+) -> list[Job]:
+    """Plan Figure 1's magic-memory points, benchmark-major.
+
+    The baselines are not in the plan: they are plain baseline runs,
+    which a caller may already run for another section.
+    """
+    return [
+        Job(config.with_magic_memory(latency), name, seed=seed,
+            iteration_scale=iteration_scale, max_cycles=max_cycles)
+        for name in benchmarks
+        for latency in latencies
+    ]
+
+
+def reduce_latency_profiles(
+    baselines: Mapping[str, RunMetrics],
+    latencies: Sequence[int],
+    points: Iterable[RunMetrics],
+) -> list[LatencyProfile]:
+    """One curve per baseline, taking ``points`` in plan order."""
+    points = iter(points)
+    return [
+        LatencyProfile(benchmark=name, baseline=base, points=tuple(
+            LatencyPoint(
+                latency=latency,
+                ipc=metrics.ipc,
+                normalized_ipc=metrics.ipc / base.ipc if base.ipc else 0.0,
+                truncated=metrics.truncated,
+            )
+            for latency, metrics in zip(latencies, points)
+        ))
+        for name, base in baselines.items()
+    ]
+
+
+def profile_latency_suite(
+    config: GPUConfig,
+    benchmarks: Sequence[str] = PAPER_SUITE,
+    latencies: Sequence[int] = DEFAULT_LATENCIES,
+    iteration_scale: float = 1.0,
+    seed: int = 1,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
+    runner: BatchRunner | None = None,
+) -> list[LatencyProfile]:
+    """Figure 1 curves of suite benchmarks, run as one batch.
+
+    The batch (on ``runner``, default :meth:`BatchRunner.serial`) holds
+    every baseline, then every magic-memory point.
+    """
+    benchmarks, latencies = list(benchmarks), list(latencies)
+    results = (runner or BatchRunner.serial()).run([
+        Job(config, name, seed=seed, iteration_scale=iteration_scale,
+            max_cycles=max_cycles)
+        for name in benchmarks
+    ] + latency_profile_jobs(
+        config, benchmarks, latencies, iteration_scale, seed, max_cycles))
+    return reduce_latency_profiles(
+        dict(zip(benchmarks, results)), latencies, results[len(benchmarks):])
+
+
 def profile_latency_tolerance(
     benchmark: str | KernelProgram,
     config: GPUConfig,
@@ -126,37 +194,18 @@ def profile_latency_tolerance(
 
     The true baseline configuration is simulated first, then every swept
     magic-memory latency.  A suite benchmark *name* runs them all as
-    one batch on ``runner`` (default: :meth:`BatchRunner.serial`).  An
+    one batch on ``runner`` (see :func:`profile_latency_suite`).  An
     ad-hoc :class:`KernelProgram` runs in-process: its closures cannot
     cross process boundaries and it has no :class:`Job` key.
     """
     latencies = list(latencies)
-    configs = [config] + [
-        config.with_magic_memory(latency) for latency in latencies
-    ]
     if isinstance(benchmark, str):
-        name = benchmark
-        results = (runner or BatchRunner.serial()).run(
-            [
-                Job(cfg, benchmark, seed=seed,
-                    iteration_scale=iteration_scale, max_cycles=max_cycles)
-                for cfg in configs
-            ]
-        )
-    else:
-        name = benchmark.name
-        results = [
-            run_kernel(cfg, benchmark, seed=seed, max_cycles=max_cycles)
-            for cfg in configs
-        ]
-    baseline, *results = results
-    points = [
-        LatencyPoint(
-            latency=latency,
-            ipc=metrics.ipc,
-            normalized_ipc=metrics.ipc / baseline.ipc if baseline.ipc else 0.0,
-            truncated=metrics.truncated,
-        )
-        for latency, metrics in zip(latencies, results)
+        return profile_latency_suite(
+            config, [benchmark], latencies, iteration_scale, seed,
+            max_cycles, runner)[0]
+    baseline, *results = [
+        run_kernel(cfg, benchmark, seed=seed, max_cycles=max_cycles)
+        for cfg in [config] + [config.with_magic_memory(l) for l in latencies]
     ]
-    return LatencyProfile(benchmark=name, baseline=baseline, points=tuple(points))
+    return reduce_latency_profiles(
+        {benchmark.name: baseline}, latencies, results)[0]

@@ -17,19 +17,13 @@ from repro.core.latency_profile import (
     LatencyProfile,
 )
 from repro.core.synergy import SynergyAnalysis
+from repro.core.validation import (
+    PAPER_AVG_GAINS,
+    PAPER_DRAM_SCHEDQ_FULL,
+    PAPER_L2_ACCESSQ_FULL,
+)
 from repro.utils.ascii_plot import line_plot, sparkline
 from repro.utils.tables import render_table
-
-#: Paper values for side-by-side comparison in reports.
-PAPER_AVG_GAINS: Mapping[str, float] = {
-    "l1": 0.04,
-    "l2": 0.59,
-    "dram": 0.11,
-    "l1+l2": 0.69,
-    "l2+dram": 0.76,
-}
-PAPER_L2_ACCESSQ_FULL = 0.46
-PAPER_DRAM_SCHEDQ_FULL = 0.39
 
 
 def render_figure1(profiles: Sequence[LatencyProfile], width: int = 78) -> str:

@@ -2,7 +2,7 @@
 
 The paper's closing argument: the speedup from scaling two adjacent levels
 together exceeds the *sum* of the individual speedups ("average speedup of
-69% and 75% on increasing the combined bandwidth of L1-L2 and L2-DRAM
+69% and 76% on increasing the combined bandwidth of L1-L2 and L2-DRAM
 respectively, which is greater than the respective sum of the individual
 gains"), because relieving one level in isolation simply moves the
 congestion elsewhere.

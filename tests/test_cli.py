@@ -1,5 +1,8 @@
 """CLI smoke tests (tiny config, heavily scaled down)."""
 
+import argparse
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.cli as cli
 from repro.cli import build_parser, main
 
 
@@ -25,6 +29,60 @@ class TestParser:
         args = build_parser().parse_args(["run", "nn"])
         assert args.config == "small"
         assert args.scale == 1.0
+
+
+def _leaf_parsers(parser, prefix=()):
+    """(command path, subparser) for every command that sets a handler."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, prefix + (name,))
+    if parser.get_default("func") is not None:
+        yield " ".join(prefix), parser
+
+
+def _args_read(func, seen=None):
+    """Attributes of ``args`` that ``func`` reads, following the cli
+    helpers (``_config``, ``_make_runner``, ...) it passes ``args`` to."""
+    seen = set() if seen is None else seen
+    seen.add(func)
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(func))):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            names.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            passed = [a for a in node.args if isinstance(a, ast.Name)]
+            if not any(a.id == "args" for a in passed):
+                continue
+            if node.func.id == "getattr" and isinstance(
+                    node.args[1], ast.Constant):
+                names.add(node.args[1].value)
+            helper = getattr(cli, node.func.id, None)
+            if inspect.isfunction(helper) and helper not in seen:
+                names |= _args_read(helper, seen)
+    return names
+
+
+class TestFlagsAreRead:
+    def test_every_flag_is_read_by_its_handler(self):
+        """A flag that no handler reads is silently ignored: the user
+        asks for something and gets the default."""
+        dead = []
+        for command, parser in _leaf_parsers(build_parser()):
+            read = _args_read(parser.get_default("func"))
+            dead += [
+                f"{command} {action.option_strings[-1]}"
+                for action in parser._actions
+                if action.option_strings and action.dest != "help"
+                and action.dest not in read
+            ]
+        assert dead == []
+
+    def test_walk_covers_nested_commands(self):
+        commands = [c for c, _ in _leaf_parsers(build_parser())]
+        assert {"validate", "campaign run", "campaign status"} <= set(commands)
 
 
 class TestImportFootprint:

@@ -16,12 +16,14 @@ from repro.core.explorer import (
 from repro.core.latency_profile import (
     LatencyPoint,
     LatencyProfile,
+    profile_latency_suite,
     profile_latency_tolerance,
 )
 from repro.core.metrics import RunMetrics, run_kernel
 from repro.core.report import render_congestion, render_figure1, render_section_iv
 from repro.core.synergy import analyze_synergy
 from repro.errors import ReproError
+from repro.runner import BatchRunner
 from repro.sim.config import tiny_gpu
 from repro.workloads.synthetic import SyntheticKernelSpec, build_kernel
 
@@ -69,6 +71,20 @@ class TestLatencyProfile:
 
     def test_plateau_at_or_after_zero(self, profile):
         assert profile.plateau_latency() >= 0
+
+    def test_suite_batch_matches_per_benchmark_profiles(self):
+        """One batch for several benchmarks reduces to the same curves as
+        one profile per benchmark."""
+        runner = BatchRunner.serial()
+        suite = profile_latency_suite(
+            tiny_gpu(), BENCHES, (0, 200), iteration_scale=0.1,
+            runner=runner)
+        assert runner.total_stats.jobs == len(BENCHES) * 3
+        assert suite == [
+            profile_latency_tolerance(
+                name, tiny_gpu(), latencies=(0, 200), iteration_scale=0.1)
+            for name in BENCHES
+        ]
 
     def test_benchmark_by_name(self):
         prof = profile_latency_tolerance(

@@ -1,4 +1,8 @@
-"""Report-rendering tests (paper-value constants and formatting)."""
+"""Report-rendering tests (paper-value constants and formatting).
+
+The Section III/IV paper values live in the claim registry
+(repro.core.validation); they are pinned here with the Section II ones.
+"""
 
 import pytest
 
@@ -9,11 +13,11 @@ from repro.core.latency_profile import (
     LatencyProfile,
 )
 from repro.core.metrics import run_kernel
-from repro.core.report import (
+from repro.core.report import render_figure1
+from repro.core.validation import (
     PAPER_AVG_GAINS,
     PAPER_DRAM_SCHEDQ_FULL,
     PAPER_L2_ACCESSQ_FULL,
-    render_figure1,
 )
 from repro.sim.config import tiny_gpu
 from repro.workloads.suite import get_benchmark
