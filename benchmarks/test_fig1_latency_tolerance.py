@@ -14,18 +14,20 @@ to the true baseline.  Asserts the paper's two observations:
 import pytest
 
 from repro import PAPER_SUITE
-from repro.core.latency_profile import IDEAL_DRAM_LATENCY, profile_latency_suite
+from repro.core.latency_profile import (
+    IDEAL_DRAM_LATENCY,
+    REPORT_LATENCIES,
+    profile_latency_suite,
+)
 from repro.core.report import render_figure1
 from repro.core.validation import CLAIMS, MEMORY_BOUND
-
-LATENCIES = tuple(range(0, 801, 100))
 
 
 @pytest.fixture(scope="module")
 def fig1_profiles(baseline_config, scale, seed):
     """The whole suite's Figure 1 curves, run once as one batch."""
     return profile_latency_suite(
-        baseline_config, PAPER_SUITE, LATENCIES, iteration_scale=scale,
+        baseline_config, PAPER_SUITE, REPORT_LATENCIES, iteration_scale=scale,
         seed=seed)
 
 

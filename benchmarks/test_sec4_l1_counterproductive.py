@@ -41,8 +41,6 @@ def test_sec4_l1_counterproductive(
 
     # The counter-productive case exists...
     assert CLAIMS["sec4_l1_backfires"].check(result).passed
-    # ...and L1 scaling is never a large win on its own...
-    assert result.average_gain("l1") < 0.10
     # ...but matching the L1 demand at the L2 recovers the loss.
     for name in degraded:
         assert result.speedup("l1+l2", name) >= result.speedup("l1", name)

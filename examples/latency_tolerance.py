@@ -18,6 +18,7 @@ Usage::
 import sys
 
 from repro import PAPER_SUITE, profile_latency_tolerance, small_gpu
+from repro.core.latency_profile import REPORT_LATENCIES
 from repro.core.report import render_figure1
 
 
@@ -26,14 +27,13 @@ def main() -> None:
     benchmarks = sys.argv[2:] or ["cfd", "leukocyte", "nn", "sc"]
     if benchmarks == ["all"]:
         benchmarks = list(PAPER_SUITE)
-    latencies = list(range(0, 801, 100))
 
     config = small_gpu()
     profiles = []
     for name in benchmarks:
         print(f"profiling {name} ...", flush=True)
         profile = profile_latency_tolerance(
-            name, config, latencies=latencies, iteration_scale=scale)
+            name, config, latencies=REPORT_LATENCIES, iteration_scale=scale)
         profiles.append(profile)
         intercept = profile.intercept_latency()
         print(f"  baseline IPC {profile.baseline_ipc:.2f}; "

@@ -25,6 +25,7 @@ from repro.core.explorer import SECTION_IV_CONFIGS
 from repro.core.latency_profile import (
     IDEAL_DRAM_LATENCY,
     IDEAL_L2_LATENCY,
+    REPORT_LATENCIES,
     profile_latency_suite,
 )
 from repro.core.report import (
@@ -44,7 +45,7 @@ def main() -> None:
 
     print("running Figure 1 sweep ...", flush=True)
     profiles = profile_latency_suite(
-        config, latencies=range(0, 801, 100), iteration_scale=SCALE)
+        config, latencies=REPORT_LATENCIES, iteration_scale=SCALE)
     by_name = {p.benchmark: p for p in profiles}
 
     print("running Section III/IV exploration ...", flush=True)

@@ -21,16 +21,19 @@ rather than trusting any single implementation:
   ``repro lint --static``.
 """
 
-from repro.analysis.lint import LintViolation, lint_paths, lint_source
-from repro.analysis.sanitizer import Sanitizer
-from repro.analysis.static import Finding, StaticReport, analyze_paths
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Finding",
-    "LintViolation",
-    "Sanitizer",
-    "StaticReport",
-    "analyze_paths",
-    "lint_paths",
-    "lint_source",
-]
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.lint import LintViolation, lint_paths, lint_source
+    from repro.analysis.sanitizer import Sanitizer
+    from repro.analysis.static.finding import Finding
+    from repro.analysis.static.runner import StaticReport, analyze_paths
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.lint": ("LintViolation", "lint_paths", "lint_source"),
+    "repro.analysis.sanitizer": ("Sanitizer",),
+    "repro.analysis.static.finding": ("Finding",),
+    "repro.analysis.static.runner": ("StaticReport", "analyze_paths"),
+})

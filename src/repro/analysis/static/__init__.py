@@ -19,17 +19,17 @@ Entry points: ``repro lint --static`` and ``scripts/lint.py --static``;
 programmatic use via :func:`analyze_paths` / :func:`run_static`.
 """
 
-from repro.analysis.static.baseline import Baseline, BaselineEntry
-from repro.analysis.static.finding import RULES, Finding, Rule
-from repro.analysis.static.runner import StaticReport, analyze_paths, run_static
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "Finding",
-    "RULES",
-    "Rule",
-    "StaticReport",
-    "analyze_paths",
-    "run_static",
-]
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.static.baseline import Baseline, BaselineEntry
+    from repro.analysis.static.finding import RULES, Finding, Rule
+    from repro.analysis.static.runner import StaticReport, analyze_paths, run_static
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.static.baseline": ("Baseline", "BaselineEntry"),
+    "repro.analysis.static.finding": ("Finding", "RULES", "Rule"),
+    "repro.analysis.static.runner": ("StaticReport", "analyze_paths", "run_static"),
+})

@@ -87,63 +87,18 @@ import json
 import os
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-from repro.core.bottleneck import diagnose_suite, render_diagnoses
-from repro.core.congestion import measure_congestion
-from repro.core.latency_breakdown import (
-    congestion_share,
-    measure_latency_breakdown,
-)
-from repro.core.design_space import render_table_i
-from repro.core.explorer import explore_design_space
-from repro.core.latency_profile import profile_latency_suite
-from repro.core.metrics import run_kernel
-from repro.core.profile import (
-    config_for_label,
-    profile_diff,
-    profile_kernel,
-    sweep_jobs,
-)
-from repro.core.replication import replicate
-from repro.core.validation import validate_reproduction
-from repro.core.export import export_runs, write_text
 from repro.errors import ReproError, UsageError
-from repro.core.report import (
-    render_congestion,
-    render_figure1,
-    render_profile,
-    render_profile_diff,
-    render_section_iv,
-    render_timeline,
-)
-from repro.core.synergy import analyze_synergy
-from repro.runner import (
-    BatchRunner,
-    CampaignManifest,
-    CampaignWorker,
-    EventLog,
-    Job,
-    ResultCache,
-    campaign_results,
-    campaign_status,
-    render_status,
-)
-from repro.runner.campaign import (
-    DEFAULT_POLL,
-    DEFAULT_STALE_AFTER,
-    default_store,
-)
-from repro.service import (
-    DEFAULT_QUEUE_DEPTH,
-    ReproDaemon,
-    ServiceClient,
-    serve as service_serve,
-    sweep_spec,
-)
-from repro.runner.cache import default_cache_dir
+from repro.runner.campaign import DEFAULT_POLL, DEFAULT_STALE_AFTER
+from repro.service.daemon import DEFAULT_QUEUE_DEPTH
 from repro.sim.config import NAMED_CONFIGS, GPUConfig
-from repro.utils.tables import render_table
-from repro.workloads.suite import PAPER_SUITE, SPECS, get_benchmark
+from repro.workloads.suite import PAPER_SUITE, SPECS
+
+if TYPE_CHECKING:
+    from repro.runner.cache import ResultCache
+    from repro.runner.pool import BatchRunner
+    from repro.service.client import ServiceClient
 
 
 def _add_machine(parser: argparse.ArgumentParser) -> None:
@@ -206,6 +161,10 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_runner(args: argparse.Namespace) -> BatchRunner:
+    from repro.runner.cache import ResultCache
+    from repro.runner.events import EventLog
+    from repro.runner.pool import BatchRunner
+
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     events = EventLog(args.events) if args.events else None
     return BatchRunner(
@@ -239,6 +198,8 @@ def _config(args: argparse.Namespace) -> GPUConfig:
 
 
 def _cmd_suite(_args: argparse.Namespace) -> int:
+    from repro.utils.tables import render_table
+
     rows = [
         [name, spec.pattern, spec.iterations,
          spec.loads_per_iter * spec.txns_per_load, spec.compute_per_iter,
@@ -254,11 +215,18 @@ def _cmd_suite(_args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(_args: argparse.Namespace) -> int:
+    from repro.core.design_space import render_table_i
+
     print(render_table_i())
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.core.metrics import run_kernel
+    from repro.runner.job import Job
+    from repro.utils.tables import render_table
+    from repro.workloads.suite import get_benchmark
+
     config = _config(args)
     if args.magic_latency is not None:
         config = config.with_magic_memory(args.magic_latency)
@@ -309,12 +277,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     timeline = metrics.extras.get("timeline")
     if timeline is not None:
+        from repro.core.report import render_timeline
+
         print()
         print(render_timeline(timeline))
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.core.export import write_text
+    from repro.core.profile import config_for_label, profile_diff, profile_kernel
+    from repro.core.report import render_profile, render_profile_diff
+
     config = _config(args)
     if args.diff is not None:
         label_a, label_b = args.diff
@@ -348,6 +322,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.core.export import write_text
+    from repro.core.metrics import run_kernel
+    from repro.utils.tables import render_table
+    from repro.workloads.suite import get_benchmark
+
     config = _config(args)
     metrics = run_kernel(
         config, get_benchmark(args.benchmark, args.scale), seed=args.seed,
@@ -396,6 +375,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_congestion(args: argparse.Namespace) -> int:
+    from repro.core.congestion import measure_congestion
+    from repro.core.report import render_congestion
+
     runner = _make_runner(args)
     report = measure_congestion(
         _config(args), benchmarks=args.benchmarks,
@@ -406,9 +388,15 @@ def _cmd_congestion(args: argparse.Namespace) -> int:
 
 
 def _cmd_latency_profile(args: argparse.Namespace) -> int:
+    from repro.core.latency_profile import (
+        REPORT_LATENCIES,
+        profile_latency_suite,
+    )
+    from repro.core.report import render_figure1
+
     runner = _make_runner(args)
     profiles = profile_latency_suite(
-        _config(args), args.benchmarks, args.latencies or range(0, 801, 100),
+        _config(args), args.benchmarks, args.latencies or REPORT_LATENCIES,
         iteration_scale=args.scale, seed=args.seed, runner=runner)
     print(render_figure1(profiles))
     _note_batch(
@@ -420,6 +408,10 @@ def _cmd_latency_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    from repro.core.explorer import explore_design_space
+    from repro.core.report import render_section_iv
+    from repro.core.synergy import analyze_synergy
+
     runner = _make_runner(args)
     result = explore_design_space(
         _config(args), benchmarks=args.benchmarks,
@@ -435,6 +427,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
+    from repro.core.bottleneck import diagnose_suite, render_diagnoses
+
     diagnoses = diagnose_suite(
         _config(args), benchmarks=args.benchmarks,
         iteration_scale=args.scale, seed=args.seed)
@@ -443,6 +437,11 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_breakdown(args: argparse.Namespace) -> int:
+    from repro.core.latency_breakdown import (
+        congestion_share,
+        measure_latency_breakdown,
+    )
+
     config = _config(args)
     breakdown = measure_latency_breakdown(
         config, args.benchmark, iteration_scale=args.scale, seed=args.seed)
@@ -456,6 +455,8 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
+    from repro.core.replication import replicate
+
     runner = _make_runner(args)
     report = replicate(
         _config(args), args.benchmark, seeds=tuple(args.seeds),
@@ -467,6 +468,9 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from repro.core.export import export_runs
+    from repro.runner.job import Job
+
     config = _config(args)
     runner = _make_runner(args)
     runs = runner.run([
@@ -480,6 +484,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from repro.runner.cache import ResultCache
+
     cache = ResultCache(args.cache_dir)
     if args.action == "clear":
         orphans = len(cache.orphan_temps())
@@ -523,6 +529,8 @@ def _campaign_store(args: argparse.Namespace) -> ResultCache:
     Either way the store's eviction is manifest-protected: a size bound
     can never delete entries the campaign counts as done.
     """
+    from repro.runner.campaign import default_store
+
     return default_store(
         args.directory,
         max_bytes=getattr(args, "store_max_bytes", None),
@@ -531,6 +539,16 @@ def _campaign_store(args: argparse.Namespace) -> ResultCache:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.core.export import export_runs
+    from repro.core.profile import sweep_jobs
+    from repro.runner.campaign import (
+        CampaignManifest,
+        CampaignWorker,
+        campaign_results,
+        campaign_status,
+        render_status,
+    )
+
     store = _campaign_store(args)
     if args.action == "status":
         print(render_status(campaign_status(args.directory, cache=store)))
@@ -565,6 +583,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _service_client(args: argparse.Namespace) -> ServiceClient:
+    from repro.service.client import ServiceClient
+
     if not args.socket and args.port is None:
         raise UsageError(
             "connect with --socket PATH or --port N (matching `repro serve`)")
@@ -584,6 +604,10 @@ def _render_submission(status: dict) -> str:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.runner.cache import ResultCache, default_cache_dir
+    from repro.service.daemon import ReproDaemon
+    from repro.service.server import serve
+
     state_dir = args.state_dir or (default_cache_dir() / "service")
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     daemon = ReproDaemon(
@@ -599,7 +623,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"repro service: state dir {daemon.state_dir}, "
         f"{args.workers} worker(s), queue depth {args.queue_depth}",
         file=sys.stderr)
-    server = service_serve(
+    server = serve(
         daemon, socket_path=args.socket or None, port=args.port,
         host=args.host)
     print(
@@ -609,6 +633,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
+    from repro.core.export import write_text
+    from repro.service.protocol import sweep_spec
+
     client = _service_client(args)
     spec = sweep_spec(
         config=args.config,
@@ -659,6 +686,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_results(args: argparse.Namespace) -> int:
+    from repro.core.export import write_text
+
     client = _service_client(args)
     result = client.results(args.id, args.format)
     if args.out:
@@ -677,6 +706,8 @@ def _cmd_cancel(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from repro.core.validation import validate_reproduction
+
     report = validate_reproduction(
         _config(args), iteration_scale=args.scale, seed=args.seed)
     print(report.to_table())

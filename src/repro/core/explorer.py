@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 from repro.sim.engine import DEFAULT_MAX_CYCLES
 from repro.core.design_space import scale_levels, scaled_config
@@ -22,7 +23,9 @@ from repro.sim.config import GPUConfig
 from repro.utils.means import arithmetic_mean, geometric_mean
 from repro.utils.tables import render_table
 from repro.workloads.suite import PAPER_SUITE, get_benchmark
-from repro.runner import BatchRunner, Job
+
+if TYPE_CHECKING:
+    from repro.runner.pool import BatchRunner
 
 #: The experiment matrix of Section IV: label -> levels scaled together.
 SECTION_IV_CONFIGS: dict[str, tuple[str, ...]] = {
@@ -135,6 +138,9 @@ def explore_design_space(
     ``runner`` (default: :meth:`BatchRunner.serial`); results merge back
     by position, never by completion order.
     """
+    from repro.runner.job import Job
+    from repro.runner.pool import BatchRunner
+
     if configs is None:
         configs = SECTION_IV_CONFIGS
     if "baseline" not in configs:

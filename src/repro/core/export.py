@@ -12,14 +12,15 @@ import dataclasses
 import io
 import json
 from collections.abc import Sequence
-from typing import Any
-
 from pathlib import Path
+from typing import TYPE_CHECKING, Any
 
-from repro.core.explorer import ExplorationResult
-from repro.core.latency_profile import LatencyProfile
 from repro.core.metrics import STALL_CAUSE_KEYS, QueueMetrics, RunMetrics
 from repro.errors import UsageError
+
+if TYPE_CHECKING:
+    from repro.core.explorer import ExplorationResult
+    from repro.core.latency_profile import LatencyProfile
 
 __all__ = [
     "exploration_to_dict",

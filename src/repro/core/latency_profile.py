@@ -27,6 +27,9 @@ from repro.runner import BatchRunner, Job
 
 #: The paper's x-axis: 0..800 cycles in steps of 50.
 DEFAULT_LATENCIES: tuple[int, ...] = tuple(range(0, 801, 50))
+#: The reported Fig. 1 sweep (CLI, benchmarks, EXPERIMENTS.md): 0..800
+#: cycles in steps of 100.
+REPORT_LATENCIES: tuple[int, ...] = tuple(range(0, 801, 100))
 #: Unloaded access latencies quoted in Section II.
 IDEAL_L2_LATENCY = 120
 IDEAL_DRAM_LATENCY = 220
@@ -97,17 +100,6 @@ class LatencyProfile:
         if pts and pts[0].normalized_ipc < 1.0:
             return float(pts[0].latency)
         return None
-
-    def congestion_excess(self) -> float | None:
-        """Cycles of baseline latency beyond the unloaded DRAM latency.
-
-        Positive values are congestion-added latency (Section II's second
-        observation).
-        """
-        intercept = self.intercept_latency()
-        if intercept is None:
-            return None
-        return intercept - IDEAL_DRAM_LATENCY
 
     def series(self) -> list[tuple[float, float]]:
         """(latency, normalized IPC) pairs for plotting."""

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from repro.core.explorer import ExplorationResult
 from repro.errors import ReproError
-from repro.utils.means import arithmetic_mean
 from repro.utils.tables import render_table
 
 
@@ -51,10 +50,6 @@ class SynergyAnalysis:
     @property
     def all_super_additive(self) -> bool:
         return all(p.is_super_additive for p in self.pairs)
-
-    @property
-    def mean_synergy(self) -> float:
-        return arithmetic_mean(p.synergy for p in self.pairs)
 
     def to_table(self) -> str:
         rows = [

@@ -39,39 +39,36 @@ export byte-identically to a serial run.  ``repro campaign
 run|status|resume`` is the CLI surface.
 """
 
-from repro.runner.job import Job, code_version
-from repro.runner.cache import CacheStats, ResultCache, default_cache_dir
-from repro.runner.events import EventLog, ProgressLine
-from repro.runner.pool import DEFAULT_RETRIES, BatchRunner, JobFailure, RunnerStats
-from repro.runner.campaign import (
-    CampaignManifest,
-    CampaignStatus,
-    CampaignWorker,
-    WorkUnit,
-    WorkerReport,
-    campaign_results,
-    campaign_status,
-    render_status,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Job",
-    "code_version",
-    "CacheStats",
-    "ResultCache",
-    "default_cache_dir",
-    "BatchRunner",
-    "EventLog",
-    "JobFailure",
-    "ProgressLine",
-    "RunnerStats",
-    "DEFAULT_RETRIES",
-    "CampaignManifest",
-    "CampaignStatus",
-    "CampaignWorker",
-    "WorkUnit",
-    "WorkerReport",
-    "campaign_results",
-    "campaign_status",
-    "render_status",
-]
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.runner.job import Job, code_version
+    from repro.runner.cache import CacheStats, ResultCache, default_cache_dir
+    from repro.runner.events import EventLog, ProgressLine
+    from repro.runner.pool import DEFAULT_RETRIES, BatchRunner, JobFailure, RunnerStats
+    from repro.runner.campaign import (
+        CampaignManifest,
+        CampaignStatus,
+        CampaignWorker,
+        WorkUnit,
+        WorkerReport,
+        campaign_results,
+        campaign_status,
+        render_status,
+    )
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runner.job": ("Job", "code_version"),
+    "repro.runner.cache": ("CacheStats", "ResultCache", "default_cache_dir"),
+    "repro.runner.pool": (
+        "BatchRunner", "JobFailure", "RunnerStats", "DEFAULT_RETRIES",
+    ),
+    "repro.runner.events": ("EventLog", "ProgressLine"),
+    "repro.runner.campaign": (
+        "CampaignManifest", "CampaignStatus", "CampaignWorker", "WorkUnit",
+        "WorkerReport", "campaign_results", "campaign_status",
+        "render_status",
+    ),
+})

@@ -23,31 +23,32 @@ export`` of the same sweep: both render through
 are deterministic.
 """
 
-from repro.service.client import ServiceClient
-from repro.service.daemon import (
-    DEFAULT_QUEUE_DEPTH,
-    ReproDaemon,
-    Submission,
-)
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    ServiceError,
-    build_jobs,
-    submission_id,
-    sweep_spec,
-)
-from repro.service.server import ServiceServer, serve
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "DEFAULT_QUEUE_DEPTH",
-    "PROTOCOL_VERSION",
-    "ReproDaemon",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceServer",
-    "Submission",
-    "build_jobs",
-    "serve",
-    "submission_id",
-    "sweep_spec",
-]
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.client import ServiceClient
+    from repro.service.daemon import (
+        DEFAULT_QUEUE_DEPTH,
+        ReproDaemon,
+        Submission,
+    )
+    from repro.service.protocol import (
+        PROTOCOL_VERSION,
+        ServiceError,
+        build_jobs,
+        submission_id,
+        sweep_spec,
+    )
+    from repro.service.server import ServiceServer, serve
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.daemon": ("DEFAULT_QUEUE_DEPTH", "ReproDaemon", "Submission"),
+    "repro.service.protocol": (
+        "PROTOCOL_VERSION", "ServiceError", "build_jobs", "submission_id",
+        "sweep_spec",
+    ),
+    "repro.service.client": ("ServiceClient",),
+    "repro.service.server": ("ServiceServer", "serve"),
+})

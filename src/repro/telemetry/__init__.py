@@ -29,38 +29,42 @@ request factory keeps its original listener), so results are bit-identical
 to an uninstrumented run.
 """
 
-from repro.telemetry.attribution import (
-    BLAME_STAGES,
-    DEFAULT_BLAME_THRESHOLD,
-    AttributionProbe,
-    AttributionWindow,
-)
-from repro.telemetry.timeseries import (
-    DEFAULT_MAX_WINDOWS,
-    DEFAULT_WINDOW,
-    TimeSeriesProbe,
-    WindowedProbe,
-    WindowSample,
-)
-from repro.telemetry.tracer import (
-    DEFAULT_TRACE_LIMIT,
-    DEFAULT_TRACE_STRIDE,
-    RequestTracer,
-    hop_track,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BLAME_STAGES",
-    "DEFAULT_BLAME_THRESHOLD",
-    "DEFAULT_MAX_WINDOWS",
-    "DEFAULT_TRACE_LIMIT",
-    "DEFAULT_TRACE_STRIDE",
-    "DEFAULT_WINDOW",
-    "AttributionProbe",
-    "AttributionWindow",
-    "RequestTracer",
-    "TimeSeriesProbe",
-    "WindowedProbe",
-    "WindowSample",
-    "hop_track",
-]
+from repro.utils.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.telemetry.attribution import (
+        BLAME_STAGES,
+        DEFAULT_BLAME_THRESHOLD,
+        AttributionProbe,
+        AttributionWindow,
+    )
+    from repro.telemetry.timeseries import (
+        DEFAULT_MAX_WINDOWS,
+        DEFAULT_WINDOW,
+        TimeSeriesProbe,
+        WindowedProbe,
+        WindowSample,
+    )
+    from repro.telemetry.tracer import (
+        DEFAULT_TRACE_LIMIT,
+        DEFAULT_TRACE_STRIDE,
+        RequestTracer,
+        hop_track,
+    )
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.attribution": (
+        "BLAME_STAGES", "DEFAULT_BLAME_THRESHOLD", "AttributionProbe",
+        "AttributionWindow",
+    ),
+    "repro.telemetry.timeseries": (
+        "DEFAULT_MAX_WINDOWS", "DEFAULT_WINDOW", "TimeSeriesProbe",
+        "WindowedProbe", "WindowSample",
+    ),
+    "repro.telemetry.tracer": (
+        "DEFAULT_TRACE_LIMIT", "DEFAULT_TRACE_STRIDE", "RequestTracer",
+        "hop_track",
+    ),
+})

@@ -85,16 +85,118 @@ class TestFlagsAreRead:
         assert {"validate", "campaign run", "campaign status"} <= set(commands)
 
 
+SRC = Path(repro.__file__).resolve().parent.parent
+
+#: Every package ``__init__`` under ``src/repro``, as a dotted name.
+PACKAGES = sorted(
+    ".".join(path.parent.relative_to(SRC).parts)
+    for path in SRC.glob("repro/**/__init__.py")
+)
+
+
+def _fresh(code):
+    """Run ``code`` in a fresh interpreter; its last stdout line is JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _loaded_after(statements):
+    """``repro`` modules a fresh interpreter holds after ``statements``."""
+    return set(_fresh(
+        f"{statements}\n"
+        "import json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'repro')))"))
+
+
+def _lazy_map(tree):
+    """The ``lazy_exports`` map of a package ``__init__``, name -> module."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "lazy_exports"):
+            exports = ast.literal_eval(node.args[1])
+            return {n: m for m, names in exports.items() for n in names}
+    return None
+
+
+def _type_checking_imports(tree):
+    """Names the ``if TYPE_CHECKING:`` block imports, name -> module."""
+    names = {}
+    for node in tree.body:
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            for stmt in node.body:
+                names.update({a.name: stmt.module for a in stmt.names})
+    return names
+
+
 class TestImportFootprint:
     def test_cli_import_does_not_load_numpy(self):
         """Every CLI process pays for what ``repro.cli`` imports; the
         simulator keeps its state in plain lists and needs no numpy."""
-        src = Path(repro.__file__).resolve().parent.parent
-        code = "import sys, repro, repro.cli; print('numpy' in sys.modules)"
+        assert _fresh(
+            "import json, sys, repro, repro.cli\n"
+            "print(json.dumps('numpy' in sys.modules))") is False
+
+    def test_simulator_loads_only_its_layers(self):
+        """Importing the simulator loads no layer above it: package
+        ``__init__``s resolve their re-exports on first use."""
+        loaded = _loaded_after(
+            "import repro.gpu, repro.workloads.suite, repro.core.metrics")
+        layers = {m.split(".")[1] for m in loaded if m != "repro"}
+        assert not layers & {"runner", "service", "telemetry", "analysis", "cli"}
+        assert {m for m in loaded if m.split(".")[1:2] == ["core"]} == {
+            "repro.core", "repro.core.metrics"}
+
+    def test_cli_help_skips_unused_commands(self):
+        """``repro --help`` builds the parser and imports no handler's
+        implementation (``-X importtime`` lists every module imported)."""
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-        assert proc.stdout.strip() == "False"
+            [sys.executable, "-X", "importtime", "-m", "repro.cli", "--help"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+        assert "latency-profile" in proc.stdout
+        loaded = {
+            line.rpartition("|")[2].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "repro.sim.config" in loaded
+        assert "repro.core.validation" not in loaded
+        assert not [m for m in loaded
+                    if m.startswith(("repro.telemetry", "repro.analysis"))]
+
+    def test_runner_pool_preloads_the_simulator(self):
+        """``BatchRunner`` forks a fresh pool per batch; its workers must
+        inherit the compiled simulator instead of importing it per batch."""
+        assert "repro.gpu" in _loaded_after("import repro.runner.pool")
+
+    def test_every_exported_name_resolves(self):
+        report = _fresh(
+            "import importlib, json, repro\n"
+            "from repro import *\n"
+            f"packages = {PACKAGES!r}\n"
+            "missing = [f'* {n}' for n in repro.__all__ if n not in globals()]\n"
+            "for name in packages:\n"
+            "    package = importlib.import_module(name)\n"
+            "    listed = set(dir(package))\n"
+            "    for export in package.__all__:\n"
+            "        if not hasattr(package, export) or export not in listed:\n"
+            "            missing.append(f'{name}.{export}')\n"
+            "print(json.dumps(missing))")
+        assert report == []
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_static_imports_match_the_lazy_map(self, package):
+        """The ``TYPE_CHECKING`` block (what type checkers see) names the
+        same objects from the same modules as the runtime map."""
+        path = SRC.joinpath(*package.split("."), "__init__.py")
+        tree = ast.parse(path.read_text())
+        lazy = _lazy_map(tree)
+        assert lazy is not None, f"{package} does not use lazy_exports"
+        assert _type_checking_imports(tree) == lazy
 
 
 class TestCommands:

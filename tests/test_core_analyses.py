@@ -108,7 +108,6 @@ class TestSyntheticProfileHelpers:
     def test_intercept_none_when_curve_stays_above(self):
         prof = self.make([(0, 3.0), (100, 2.0)])
         assert prof.intercept_latency() is None
-        assert prof.congestion_excess() is None
 
     def test_intercept_at_first_point_when_below(self):
         prof = self.make([(0, 0.9), (100, 0.5)])
@@ -117,10 +116,6 @@ class TestSyntheticProfileHelpers:
     def test_plateau_tolerance(self):
         prof = self.make([(0, 2.0), (50, 1.98), (100, 1.5), (200, 0.6)])
         assert prof.plateau_latency(tolerance=0.05) == 50
-
-    def test_congestion_excess_positive_under_congestion(self):
-        prof = self.make([(0, 2.0), (400, 1.01), (800, 0.5)])
-        assert prof.congestion_excess() > 0
 
 
 class TestCongestion:

@@ -46,14 +46,6 @@ class TestAnalyze:
         assert by_label["l1+l2"].synergy == pytest.approx(0.06)
         assert by_label["l2+dram"].synergy == pytest.approx(0.06)
 
-    def test_mean_synergy(self):
-        result = FakeResult({
-            "l1": 0.0, "l2": 0.2, "dram": 0.1,
-            "l1+l2": 0.4, "l2+dram": 0.3,
-        })
-        analysis = analyze_synergy(result)
-        assert analysis.mean_synergy == pytest.approx((0.2 + 0.0) / 2)
-
     def test_custom_pairs(self):
         result = FakeResult({"l1": 0.1, "dram": 0.1, "l1+l2": 0.5})
         analysis = analyze_synergy(
