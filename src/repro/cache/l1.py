@@ -113,40 +113,46 @@ class L1DCache:
     # SM-facing interface
     # ------------------------------------------------------------------
     def try_access(self, request: MemoryRequest, now: int) -> AccessResult:
-        """Present one transaction; returns how it was disposed."""
-        request.stamp("l1_access", now)
+        """Present one transaction; returns how it was disposed.
+
+        Loads are handled inline (the SM's per-cycle path): MSHR probing,
+        table-full and miss-queue-room tests read the structures directly.
+        """
+        timestamps = request.timestamps
+        timestamps["l1_access"] = now
         if request.kind is AccessKind.STORE:
             return self._access_store(request, now)
-        return self._access_load(request, now)
-
-    def _access_load(self, request: MemoryRequest, now: int) -> AccessResult:
-        if self.tags.lookup(request.line, now):
+        line = request.line
+        if self.tags.lookup(line, now):
             self.hits += 1
-            request.stamp("l1_hit", now)
+            timestamps["l1_hit"] = now
             self._hit_pipe.insert(request, now)
             return AccessResult.HIT
-        probe = self.mshr.probe(request.line)
-        if probe is MSHRProbe.MERGEABLE:
-            self.mshr.merge(request, now)
-            request.stamp("l1_miss", now)
-            return AccessResult.QUEUED
-        if probe is MSHRProbe.ENTRY_FULL:
+        mshr = self.mshr
+        entry = mshr._entries.get(line)
+        if entry is not None:
+            if len(entry.requests) < mshr.max_merge:
+                mshr.merge(request, now)
+                timestamps["l1_miss"] = now
+                return AccessResult.QUEUED
             self.stall_counts[AccessResult.STALL_MERGE_FULL] += 1
             return AccessResult.STALL_MERGE_FULL
         # New miss: needs an MSHR entry and (unless magic) a miss-queue slot.
-        if self.mshr.full:
+        if len(mshr._entries) >= mshr.capacity:
             self.stall_counts[AccessResult.STALL_MSHR_FULL] += 1
             return AccessResult.STALL_MSHR_FULL
-        if not self._magic and not self.miss_queue.can_push():
+        miss_queue = self.miss_queue
+        magic = self._magic
+        if not magic and len(miss_queue._items) >= miss_queue.capacity:
             self.stall_counts[AccessResult.STALL_MISSQ_FULL] += 1
             return AccessResult.STALL_MISSQ_FULL
-        self.mshr.allocate(request, now)
-        request.stamp("l1_miss", now)
+        mshr.allocate(request, now)
+        timestamps["l1_miss"] = now
         self.misses_issued += 1
-        if self._magic:
+        if magic:
             self._fill_pipe.insert_at(request, now + self._magic_latency)
         else:
-            self.miss_queue.push(request, now)
+            miss_queue.push(request, now)
         return AccessResult.QUEUED
 
     def _access_store(self, request: MemoryRequest, now: int) -> AccessResult:
@@ -155,14 +161,15 @@ class L1DCache:
         # Write-through with write-evict (the Fermi/paper baseline): a store
         # hit invalidates the local copy so later loads refetch the
         # (updated) line from L2, and every store travels downstream.
-        if not self._magic and not self.miss_queue.can_push():
+        miss_queue = self.miss_queue
+        if not self._magic and len(miss_queue._items) >= miss_queue.capacity:
             self.stall_counts[AccessResult.STALL_MISSQ_FULL] += 1
             return AccessResult.STALL_MISSQ_FULL
         self.tags.invalidate(request.line)
         self.stores_sent += 1
-        request.stamp("l1_store", now)
+        request.timestamps["l1_store"] = now
         if not self._magic:
-            self.miss_queue.push(request, now)
+            miss_queue.push(request, now)
         else:
             request.retired = True  # magic memory absorbs the store here
         return AccessResult.STORE_SENT
@@ -175,13 +182,13 @@ class L1DCache:
         if self.tags.lookup(request.line, now):
             self.tags.mark_dirty(request.line)
             self.store_hits_local += 1
-            request.stamp("l1_store", now)
+            request.timestamps["l1_store"] = now
             request.retired = True  # absorbed locally; no downstream traffic
             return AccessResult.HIT
         probe = self.mshr.probe(request.line)
         if probe is MSHRProbe.MERGEABLE:
             self.mshr.merge(request, now)  # taints the entry dirty
-            request.stamp("l1_miss", now)
+            request.timestamps["l1_miss"] = now
             return AccessResult.QUEUED
         if probe is MSHRProbe.ENTRY_FULL:
             self.stall_counts[AccessResult.STALL_MERGE_FULL] += 1
@@ -193,7 +200,7 @@ class L1DCache:
             self.stall_counts[AccessResult.STALL_MISSQ_FULL] += 1
             return AccessResult.STALL_MISSQ_FULL
         self.mshr.allocate(request, now)  # records has_store
-        request.stamp("l1_miss", now)
+        request.timestamps["l1_miss"] = now
         self.misses_issued += 1
         if self._magic:
             self._fill_pipe.insert_at(request, now + self._magic_latency)
@@ -211,7 +218,8 @@ class L1DCache:
         and every merged requester returned alongside completed hits.
         """
         completed: list[MemoryRequest] = []
-        self._drain_writebacks(now)
+        if self._pending_writebacks:
+            self._drain_writebacks(now)
         for response in self._fill_pipe.drain_ready(now):
             line = response.line
             entry = self.mshr.release(line, now)
@@ -233,8 +241,6 @@ class L1DCache:
 
     def _drain_writebacks(self, now: int) -> None:
         """Send pending dirty evictions to L2 as stores (write-back mode)."""
-        if not self._pending_writebacks:
-            return
         if self._magic:
             self.writebacks_sent += len(self._pending_writebacks)
             self._pending_writebacks.clear()
@@ -248,7 +254,7 @@ class L1DCache:
                 sm_id=self.sm_id,
                 warp_id=-1,
             )
-            writeback.stamp("l1_writeback", now)
+            writeback.timestamps["l1_writeback"] = now
             self.writebacks_sent += 1
             self.miss_queue.push(writeback, now)
 

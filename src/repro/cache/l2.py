@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop
 
-from repro.cache.mshr import MSHRProbe, MSHRTable
+from repro.cache.mshr import MSHRTable
 from repro.cache.tag_array import TagArray
 from repro.mem.address import AddressMapper
 from repro.mem.pipe import DelayPipe
@@ -41,9 +42,11 @@ class _Bank:
     pipe: DelayPipe[MemoryRequest]
     depth: int
     output: MemoryRequest | None = None
-    #: Miss-resource epoch at which the held output last failed on a
-    #: miss-path stall; it is not retried until the epoch moves.  Epochs
-    #: only grow, so a stale value never matches again.
+    #: Miss-resource epoch (the slice's ``mshr.releases +
+    #: miss_queue.pops``, the only events that can clear a miss-path
+    #: stall) at which the held output last failed on such a stall; it
+    #: is not retried until the epoch moves.  Epochs only grow, so a
+    #: stale value never matches again.
     wait_epoch: int = -1
 
 
@@ -60,7 +63,10 @@ class L2Slice(Component):
         self.name = name
         self.partition_id = partition_id
         self._config = config
-        self._mapper = mapper
+        #: Global line -> local line shift and local line -> bank mask
+        #: (mapper.local_line / mapper.l2_bank, inlined per request).
+        self._part_shift = mapper.part_shift
+        self._bank_mask = mapper.l2_bank_mask
         cfg = config.l2
         n_sets = cfg.size_bytes // (config.line_bytes * cfg.assoc)
         self.tags = TagArray(f"{name}.tags", n_sets, cfg.assoc)
@@ -105,7 +111,23 @@ class L2Slice(Component):
             self._process_fills(now)
         if self._pending_responses:
             self._emit_pending_responses(now)
-        self._step_bank_outputs(now)
+        # Bank outputs: a free register takes its ready pipe head; a held
+        # output is re-resolved unless gated on an unchanged miss epoch
+        # (read once per scan: resolving an output never moves it).
+        epoch = -1
+        for bank in self.banks:
+            if bank.output is None:
+                heap = bank.pipe._heap
+                if not heap or heap[0][0] > now:
+                    continue
+                bank.output = heappop(heap)[2]
+            else:
+                if epoch < 0:
+                    epoch = self.mshr.releases + self.miss_queue.pops
+                if bank.wait_epoch == epoch:
+                    continue  # nothing the miss-path stall waits on changed
+            if self._resolve(bank, now):
+                bank.output = None
         if self.access_queue._items:
             self._step_bank_inputs(now)
 
@@ -116,15 +138,16 @@ class L2Slice(Component):
             return now
         items = self.access_queue._items
         if items:
-            bank = self.banks[self._mapper.l2_bank(items[0].line)]
-            if len(bank.pipe) < bank.depth:
+            bank = self.banks[
+                (items[0].line >> self._part_shift) & self._bank_mask]
+            if len(bank.pipe._heap) < bank.depth:
                 return now
             # Head-of-line blocked on a full bank pipe: it frees only
             # when that bank's output moves, which the loop below covers.
         # The remaining time-dependent state is in the banks: a held
         # output retries every cycle unless epoch-gated, and a free
         # output register takes its pipe head once that is ready.
-        epoch = self._miss_epoch()
+        epoch = self.mshr.releases + self.miss_queue.pops
         wake = WAKE_NEVER
         for bank in self.banks:
             if bank.output is not None:
@@ -136,11 +159,6 @@ class L2Slice(Component):
                 wake = heap[0][0]
         return wake if wake > now else now
 
-    def _miss_epoch(self) -> int:
-        """Count of the events that can clear a miss-path stall: MSHR
-        releases and miss-queue pops."""
-        return self.mshr.releases + self.miss_queue.pops
-
     # ------------------------------------------------------------------
     # fills from DRAM
     # ------------------------------------------------------------------
@@ -151,15 +169,14 @@ class L2Slice(Component):
             return  # back-pressure towards DRAM
         response = return_queue.pop(now)
         line = response.line
-        local = self._mapper.local_line(line)
         entry = self.mshr.release(line, now)
-        self.tags.fill(local, now, dirty=entry.has_store)
+        self.tags.fill(line >> self._part_shift, now, dirty=entry.has_store)
         self.fills += 1
-        response.stamp("l2_fill", now)
+        response.timestamps["l2_fill"] = now
         for original in entry.requests:
             if original.kind is AccessKind.LOAD:
                 original.is_response = True
-                original.stamp("l2_fill", now)
+                original.timestamps["l2_fill"] = now
                 self._pending_responses.append(original)
             else:
                 self.store_completions += 1
@@ -167,32 +184,22 @@ class L2Slice(Component):
 
     def _emit_pending_responses(self, now: int) -> None:
         """Push fill responses through the data port into the response queue."""
+        pending = self._pending_responses
+        response_queue = self.response_queue
         while (
-            self._pending_responses
+            pending
             and now >= self._port_free_at
-            and self.response_queue.can_push()
+            and len(response_queue._items) < response_queue.capacity
         ):
-            response = self._pending_responses.popleft()
-            response.stamp("l2_out", now)
-            self.response_queue.push(response, now)
+            response = pending.popleft()
+            response.timestamps["l2_out"] = now
+            response_queue.push(response, now)
             self._port_free_at = now + self._port_cycles
             self.port_busy_cycles += self._port_cycles
 
     # ------------------------------------------------------------------
     # bank pipeline
     # ------------------------------------------------------------------
-    def _step_bank_outputs(self, now: int) -> None:
-        for bank in self.banks:
-            if bank.output is None:
-                heap = bank.pipe._heap
-                if not heap or heap[0][0] > now:
-                    continue
-                bank.output = bank.pipe.pop()
-            elif bank.wait_epoch == self._miss_epoch():
-                continue  # nothing the miss-path stall waits on has changed
-            if self._resolve(bank, now):
-                bank.output = None
-
     def _resolve(self, bank: _Bank, now: int) -> bool:
         """Try to retire the bank's output; False => it stays held.
 
@@ -204,65 +211,73 @@ class L2Slice(Component):
         cycle, since each attempt re-stamps LRU or counts a failure.
         """
         request = bank.output
-        local = self._mapper.local_line(request.line)
-        hit = self.tags.lookup(local, now, count=False)
-        if "l2_probed" not in request.timestamps:
+        timestamps = request.timestamps
+        local = request.line >> self._part_shift
+        tags = self.tags
+        hit = tags.lookup(local, now, count=False)
+        if "l2_probed" not in timestamps:
             # Count the access outcome once, not once per blocked retry.
-            request.stamp("l2_probed", now)
+            timestamps["l2_probed"] = now
+            lookups = tags.lookups
+            lookups.denominator += 1
             if hit:
-                self.tags.lookups.hit()
-            else:
-                self.tags.lookups.miss()
+                lookups.numerator += 1
         if hit:
             if request.kind is AccessKind.STORE:
-                self.tags.mark_dirty(local)
+                tags.mark_dirty(local)
                 self.store_hits += 1
                 self.store_completions += 1
-                request.stamp("l2_hit", now)
+                timestamps["l2_hit"] = now
                 request.retired = True  # write-through store ends at L2
                 return True
             # Load hit: needs the data port and a response-queue slot.
-            if now < self._port_free_at or not self.response_queue.can_push():
+            response_queue = self.response_queue
+            if (
+                now < self._port_free_at
+                or len(response_queue._items) >= response_queue.capacity
+            ):
                 return False
             request.is_response = True
-            request.stamp("l2_hit", now)
-            request.stamp("l2_out", now)
-            self.response_queue.push(request, now)
+            timestamps["l2_hit"] = now
+            timestamps["l2_out"] = now
+            response_queue.push(request, now)
             self._port_free_at = now + self._port_cycles
             self.port_busy_cycles += self._port_cycles
             return True
         # Miss path.
-        probe = self.mshr.probe(request.line)
-        if probe is MSHRProbe.MERGEABLE:
-            self.mshr.merge(request, now)
+        mshr = self.mshr
+        entry = mshr._entries.get(request.line)
+        if entry is not None and len(entry.requests) < mshr.max_merge:
+            mshr.merge(request, now)
             request.l2_miss = True
-            request.stamp("l2_miss", now)
+            timestamps["l2_miss"] = now
             return True
         # Reserving may evict a dirty line needing a writeback slot, so
         # a new entry demands two free miss-queue slots before committing.
+        miss_queue = self.miss_queue
         if (
-            probe is MSHRProbe.ENTRY_FULL
-            or self.mshr.full
-            or self.miss_queue.capacity - len(self.miss_queue) < 2
+            entry is not None  # merge slots exhausted
+            or len(mshr._entries) >= mshr.capacity
+            or miss_queue.capacity - len(miss_queue._items) < 2
         ):
-            bank.wait_epoch = self._miss_epoch()
+            bank.wait_epoch = mshr.releases + miss_queue.pops
             return False
-        evicted = self.tags.reserve(local, now)
+        evicted = tags.reserve(local, now)
         if evicted is False:
             return False  # reservation failure: every way pending a fill
-        self.mshr.allocate(request, now)
+        mshr.allocate(request, now)
         request.l2_miss = True
-        request.stamp("l2_miss", now)
+        timestamps["l2_miss"] = now
         if evicted is not None and evicted.dirty:
             self._emit_writeback(evicted.line, request, now)
-        self.miss_queue.push(request, now)
+        miss_queue.push(request, now)
         return True
 
     def _emit_writeback(
         self, local_line: int, cause: MemoryRequest, now: int
     ) -> None:
         """Queue a writeback of an evicted dirty local line to DRAM."""
-        global_line = (local_line << (self._mapper.n_partitions - 1).bit_length()) | self.partition_id
+        global_line = (local_line << self._part_shift) | self.partition_id
         writeback = MemoryRequest(
             rid=-cause.rid - 1,  # negative ids mark internally generated traffic
             kind=AccessKind.WRITEBACK,
@@ -271,7 +286,7 @@ class L2Slice(Component):
             warp_id=-1,
             issued_at=now,
         )
-        writeback.stamp("l2_writeback", now)
+        writeback.timestamps["l2_writeback"] = now
         self.writebacks += 1
         self.miss_queue.push(writeback, now)
 
@@ -279,14 +294,17 @@ class L2Slice(Component):
         """Feed access-queue heads into their banks, at most one accept
         per bank per cycle, stopping at the first head that cannot go."""
         queue = self.access_queue
+        items = queue._items
+        shift = self._part_shift
+        mask = self._bank_mask
         accepted = 0  # bitmask of banks that took a request this cycle
-        while queue._items:
-            bank_idx = self._mapper.l2_bank(queue._items[0].line)
+        while items:
+            bank_idx = (items[0].line >> shift) & mask
             bank = self.banks[bank_idx]
-            if accepted >> bank_idx & 1 or len(bank.pipe) >= bank.depth:
+            if accepted >> bank_idx & 1 or len(bank.pipe._heap) >= bank.depth:
                 break  # head-of-line blocking on a busy bank
             request = queue.pop(now)
-            request.stamp("l2_in", now)
+            request.timestamps["l2_in"] = now
             bank.pipe.insert(request, now)
             accepted |= 1 << bank_idx
 

@@ -92,7 +92,7 @@ class MSHRTable:
         if len(self._entries) >= self.capacity:
             self.alloc_fails += 1
             return False
-        entry = MSHREntry(request.line, now, [request], request.is_write)
+        entry = MSHREntry(request.line, now, [request], request.kind.is_write)
         self._entries[request.line] = entry
         self.allocations += 1
         occupancy = len(self._entries)
@@ -113,7 +113,7 @@ class MSHRTable:
             self.merge_fails += 1
             return False
         entry.requests.append(request)
-        entry.has_store = entry.has_store or request.is_write
+        entry.has_store = entry.has_store or request.kind.is_write
         self.merges += 1
         return True
 

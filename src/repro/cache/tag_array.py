@@ -80,15 +80,16 @@ class TagArray:
         Updates the way's LRU stamp and the hit-rate statistic on hits.
         """
         slot = self._slot_of.get(line)
-        hit = slot is not None and self._state[slot] is LineState.VALID
-        if count:
-            if hit:
-                self.lookups.hit()
-            else:
-                self.lookups.miss()
-        if hit:
+        if slot is not None and self._state[slot] is LineState.VALID:
+            if count:
+                lookups = self.lookups
+                lookups.numerator += 1
+                lookups.denominator += 1
             self._last_use[slot] = now
-        return hit
+            return True
+        if count:
+            self.lookups.denominator += 1
+        return False
 
     def state_of(self, line: int) -> LineState:
         """Current state of ``line`` (INVALID if not present)."""

@@ -90,8 +90,8 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError, UsageError
-from repro.runner.campaign import DEFAULT_POLL, DEFAULT_STALE_AFTER
-from repro.service.daemon import DEFAULT_QUEUE_DEPTH
+from repro.runner.defaults import DEFAULT_POLL, DEFAULT_STALE_AFTER
+from repro.service.defaults import DEFAULT_QUEUE_DEPTH
 from repro.sim.config import NAMED_CONFIGS, GPUConfig
 from repro.workloads.suite import PAPER_SUITE, SPECS
 

@@ -52,6 +52,9 @@ class SM(Component):
             Warp(i, program, mlp_limit) for i, program in enumerate(warp_programs)
         ]
         self.scheduler = make_warp_scheduler(config.core.scheduler)
+        #: Alias of the scheduler's ready set (mutated in place): its
+        #: truthiness is the per-cycle "any warp ready" test.
+        self._ready = self.scheduler._ready_set
         limit = config.core.active_warp_limit
         active = self.warps if limit is None else self.warps[:limit]
         #: Warps waiting for an activation slot (TLP throttling).
@@ -71,6 +74,9 @@ class SM(Component):
         #: Alias of the L1's pending-writeback list (mutated in place), one
         #: attribute hop instead of two on the per-cycle wake checks.
         self._l1_writebacks = self.l1._pending_writebacks
+        #: Alias of the L1 miss queue, whose pops end a window opened on a
+        #: stalled LD/ST head (see step()).
+        self._l1_missq = self.l1.miss_queue
         #: The LRR ready deque (None for other policies): burst batching
         #: (see _burst_horizon) needs the exact issue rotation, which is
         #: only modelled for loose round robin.
@@ -127,6 +133,10 @@ class SM(Component):
         #: Fill-heap length when the current window opened; a mismatch
         #: during a skipped cycle means an external fill arrived.
         self._fill_len = 0
+        #: L1 miss-queue pops when the current window opened; a mismatch
+        #: means the request crossbar freed a slot, which moves the L1
+        #: resource epoch a stalled LD/ST head waits on.
+        self._window_pops = 0
         #: All warps retired (their loads necessarily completed).  A plain
         #: attribute maintained by :meth:`_retire`; read every cycle by
         #: ``GPU.done``.
@@ -138,14 +148,18 @@ class SM(Component):
     def step(self, now: int) -> None:
         fill_heap = self._fill_heap
         hit_heap = self._hit_heap
-        if now < self._skip_until:
-            # Inside a local burst window: unless an external event (a fill
-            # arriving from the response network) cuts it short, this cycle
-            # is deterministic — defer it for batched replay.  Writebacks
-            # and the hit pipe only change in our own steps and the window
-            # was clamped to their due times when it opened, so the fill
-            # heap is the one live wake source; a length change is the
-            # only way it gains work while we sleep.
+        if now < self._skip_until and (
+            not self._ldst_queue or self._l1_missq.pops == self._window_pops
+        ):
+            # Inside a local window: unless an external event cuts it
+            # short, this cycle is deterministic — defer it for batched
+            # replay.  Writebacks, the hit pipe and the LD/ST queue only
+            # change in our own steps and the window was clamped to their
+            # due times when it opened, so two external sources remain: a
+            # fill arriving from the response network (the fill heap grows)
+            # and, while the LD/ST head is stalled, a miss-queue pop by the
+            # request network (the L1 resource epoch moves; checked above,
+            # it forces a real step so the head retries this cycle).
             if len(fill_heap) == self._fill_len:
                 self._skipped += 1
                 return
@@ -182,30 +196,38 @@ class SM(Component):
         self._fetch_due = False
         if self.done and not self._ldst_queue and self.l1.is_idle():
             self._quiesced = True
-        elif (
-            self._fast_mode
-            and not self._ldst_queue
-            and not self._l1_writebacks
-        ):
+        elif self._fast_mode and not self._l1_writebacks:
             # Open the next local window: from the post-step state, the
             # next `window` cycles are deterministic regardless of what
-            # the rest of the machine does (fill arrivals are checked per
-            # skipped cycle above).  Two shapes qualify: a pure compute
-            # burst (replayed as round-robin issue), and a fully blocked
-            # SM waiting on loads (replayed as no-ready cycles, woken by
-            # the fill-heap guard).  The window is clamped to the earliest
-            # event already sitting in the completion heaps, so the
-            # skip-cycle guard only has to watch for *new* fills.
+            # the rest of the machine does (external events are checked
+            # per skipped cycle above).  The LD/ST queue must be empty or
+            # its head stalled on the current L1 resource epoch, exactly
+            # the state _replay replays for global jumps.  Issue then has
+            # two shapes: a pure compute burst (replayed as round-robin
+            # issue), or no warp able to issue — none ready (no-ready
+            # cycles) or issue frozen on LD/ST space (starved cycles).
+            # The window is clamped to the earliest event already sitting
+            # in the completion heaps, so the skip-cycle guard only has to
+            # watch for *new* fills.
+            ldst = self._ldst_queue
+            l1 = self.l1
             until = 0
-            if len(self.scheduler):
-                if self._lrr_queue is not None:
-                    window = self._burst_horizon()
-                    if window:
-                        until = now + window + 1
-                    else:
-                        self._fetch_due = True
-            elif not self.done:
-                until = WAKE_NEVER
+            if not ldst or (
+                ldst[0].rid == self._stalled_rid
+                and l1.fills_installed + l1.mshr.releases + self._l1_missq.pops
+                == self._stalled_epoch
+            ):
+                if self._ready and not self._issue_frozen:
+                    if self._lrr_queue is not None:
+                        window = self._burst_horizon()
+                        if window:
+                            until = now + window + 1
+                        else:
+                            self._fetch_due = True
+                elif ldst or not self.done:
+                    # A done SM with an empty LD/ST queue is left out: it
+                    # quiesces once its L1 drains, which no guard sees.
+                    until = WAKE_NEVER
             if until:
                 if fill_heap:
                     head = fill_heap[0][0]
@@ -214,6 +236,7 @@ class SM(Component):
                 if hit_heap and hit_heap[0][0] < until:
                     until = hit_heap[0][0]
                 self._fill_len = len(fill_heap)
+                self._window_pops = self._l1_missq.pops
                 self._skip_until = until
 
     def set_fast_mode(self, enabled: bool) -> None:
@@ -224,7 +247,7 @@ class SM(Component):
         if self._quiesced:
             return WAKE_NEVER
         burst_wake = WAKE_NEVER
-        if len(self.scheduler):
+        if self._ready:
             if not self._issue_frozen:
                 if self._fetch_due:
                     return now  # a warp fetches (or starve-counts) this cycle
@@ -288,7 +311,7 @@ class SM(Component):
             self.stall_cycles_by_cause[cause] = (
                 self.stall_cycles_by_cause.get(cause, 0) + cycles
             )
-        if len(self.scheduler):
+        if self._ready:
             if self._issue_frozen:
                 # Frozen issue stage: ready warps exist but none can issue
                 # (_issue would count a starved cycle, not no-ready).
@@ -525,7 +548,8 @@ class SM(Component):
         """
         if warp.remaining_compute > 0:
             warp.remaining_compute -= 1
-            self._count_issue(warp)
+            self.instructions += 1
+            warp.instructions += 1
             return _ISSUED
         instr = warp.fetch()
         if instr is None:
@@ -535,11 +559,13 @@ class SM(Component):
         if op == "compute":
             warp.consume_pending()
             warp.remaining_compute = max(0, instr[1] - 1)
-            self._count_issue(warp)
+            self.instructions += 1
+            warp.instructions += 1
             return _ISSUED
         if op == "membar":
             warp.consume_pending()
-            self._count_issue(warp)
+            self.instructions += 1
+            warp.instructions += 1
             if warp.outstanding_loads > 0:
                 warp.at_membar = True
                 self._block(warp)
@@ -549,7 +575,8 @@ class SM(Component):
         if len(self._ldst_queue) + len(lines) > self._ldst_capacity:
             return _MEM_STALL
         warp.consume_pending()
-        self._count_issue(warp)
+        self.instructions += 1
+        warp.instructions += 1
         if op == "load":
             tracker = LoadInstr(warp_id=warp.warp_id, remaining=len(lines))
             warp.outstanding_loads += 1
@@ -572,10 +599,6 @@ class SM(Component):
     # ------------------------------------------------------------------
     # warp lifecycle helpers
     # ------------------------------------------------------------------
-    def _count_issue(self, warp: Warp) -> None:
-        self.instructions += 1
-        warp.instructions += 1
-
     def _block(self, warp: Warp) -> None:
         warp.state = WarpState.BLOCKED
         self.scheduler.remove(warp)

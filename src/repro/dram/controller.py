@@ -24,6 +24,8 @@ admitted, the L2 pops the return queue, or a refresh runs.
 
 from __future__ import annotations
 
+from heapq import heappop
+
 from repro.dram.bankstate import BankFile
 from repro.dram.scheduler import ACTIVATE, make_scheduler
 from repro.mem.address import AddressMapper
@@ -99,10 +101,16 @@ class DRAMChannel(Component):
             self._refresh(now)
         if heap and heap[0][0] <= now:
             self._retire(now)
-        if miss:
+        if miss and len(sched) < self.sched_queue.capacity:
             self._admit(now)
         if sched:
-            self._issue(now)
+            # Rescan only once the last scan's answer can have changed:
+            # its retry cycle came or the event epoch moved (inlined
+            # _epoch(): per-cycle path).
+            epoch = (self.sched_queue.pushes + self.return_queue.pops
+                     + self.refreshes)
+            if now >= self._retry_at or epoch != self._idle_epoch:
+                self._issue(now, epoch)
 
     def next_wake(self, now: int) -> int:
         # Mirrors step(): the idle fast path defers even refreshes, so an
@@ -148,40 +156,39 @@ class DRAMChannel(Component):
             self._next_refresh += cfg.refresh_interval
 
     def _retire(self, now: int) -> None:
-        while self._completions.ready(now):
-            request = self._completions.peek()
+        heap = self._completions._heap
+        return_queue = self.return_queue
+        while heap and heap[0][0] <= now:
+            request = heap[0][2]
             if request.kind is AccessKind.WRITEBACK:
-                self._completions.pop()
-                request.stamp("dram_done", now)
+                heappop(heap)
+                request.timestamps["dram_done"] = now
                 request.retired = True  # writebacks terminate at DRAM
                 self.writes += 1
             else:
                 # LOADs and write-allocate STORE fetches both return data to
                 # the L2 so their MSHR entries release.
-                if not self.return_queue.can_push():
+                if len(return_queue._items) >= return_queue.capacity:
                     break  # L2 fill path congested; hold completions
-                self._completions.pop()
-                request.stamp("dram_done", now)
+                heappop(heap)
+                request.timestamps["dram_done"] = now
                 self._reads_in_flight -= 1
-                self.return_queue.push(request, now)
+                return_queue.push(request, now)
 
     def _admit(self, now: int) -> None:
-        """Move one request per cycle from the L2 miss queue to the
-        scheduler queue (back-pressure lands in the miss queue when the
-        scheduler queue is full)."""
-        if self.sched_queue.can_push():
-            request = self.l2.miss_queue.pop(now)
-            request.stamp("dram_in", now)
-            # Cache the bank/row coordinates once; the scheduler's
-            # first-ready scan consults them every cycle the request waits.
-            request.dram_bank = self._mapper.dram_bank(request.line)
-            request.dram_row = self._mapper.dram_row(request.line)
-            self.sched_queue.push(request, now)
+        """Move one request from the L2 miss queue to the scheduler queue;
+        :meth:`step` calls it once per cycle while the scheduler queue has
+        room (back-pressure lands in the miss queue when it is full)."""
+        request = self.l2.miss_queue.pop(now)
+        request.timestamps["dram_in"] = now
+        # Cache the bank/row coordinates once; the scheduler's
+        # first-ready scan consults them every cycle the request waits.
+        request.dram_bank = self._mapper.dram_bank(request.line)
+        request.dram_row = self._mapper.dram_row(request.line)
+        self.sched_queue.push(request, now)
 
-    def _issue(self, now: int) -> None:
-        epoch = self._epoch()
-        if epoch == self._idle_epoch and now < self._retry_at:
-            return  # the last scan's answer cannot have changed yet
+    def _issue(self, now: int, epoch: int) -> None:
+        """One scheduler scan at event epoch ``epoch`` (see :meth:`step`)."""
         bank_file = self.bank_file
         timing = self._config.dram
         bus_gate_ok = (
@@ -192,7 +199,7 @@ class DRAMChannel(Component):
         # of an event, only time changes a failed scan's answer: a bank's
         # timing expiring or the bus gate opening.
         choice = None
-        retry = bank_file.min_busy()
+        retry = min(bank_file.busy_until)
         if retry <= now:
             choice = self._scheduler.select(
                 self.sched_queue,
@@ -200,7 +207,7 @@ class DRAMChannel(Component):
                 bank_file.open_row,
                 now,
                 bus_gate_ok,
-                self.return_queue.capacity - len(self.return_queue)
+                self.return_queue.capacity - len(self.return_queue._items)
                 - self._reads_in_flight,
             )
             retry = WAKE_NEVER

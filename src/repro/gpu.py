@@ -19,6 +19,8 @@ for responses produced earlier in the same cycle.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.cores.sm import SM
 from repro.dram.controller import DRAMChannel
 from repro.cache.l2 import L2Slice
@@ -30,6 +32,10 @@ from repro.mem.request import RequestFactory
 from repro.sim.config import RING_HOP_LATENCY, GPUConfig
 from repro.sim.engine import DEFAULT_MAX_CYCLES, Simulator
 from repro.workloads.program import KernelProgram
+
+
+#: ``sm.done`` as a C-level getter: :meth:`GPU.done` runs every cycle.
+_DONE = attrgetter("done")
 
 
 class GPU:
@@ -88,7 +94,7 @@ class GPU:
             self.l2_slices.append(l2)
             self.dram_channels.append(dram)
 
-        mapper = self.mapper
+        part_mask = self.mapper.part_mask
         if config.icnt.topology == "ring":
             def make_network(name, sources, sinks, route, flit_count, hop):
                 return RingNetwork(
@@ -106,13 +112,14 @@ class GPU:
             [sm.l1.miss_queue for sm in self.sms],
             [
                 PacketSink(
-                    can_accept=(lambda l2: lambda _req: l2.access_queue.can_push())(l2),
-                    accept=(lambda l2: lambda req, now: l2.access_queue.push(req, now))(l2),
+                    can_accept=(lambda q: lambda _req: len(q._items) < q.capacity)(
+                        l2.access_queue),
+                    accept=l2.access_queue.push,
                 )
                 for l2 in self.l2_slices
             ],
-            lambda req: mapper.partition(req.line),
-            lambda req: config.request_flits(req.is_write),
+            lambda req: req.line & part_mask,  # mapper.partition, inlined
+            lambda req: config.request_flits(req.kind.is_write),
             "icnt_req",
         )
         self.response_xbar = make_network(
@@ -140,7 +147,7 @@ class GPU:
     # ------------------------------------------------------------------
     def done(self) -> bool:
         """All warps on all SMs retired."""
-        return all(sm.done for sm in self.sms)
+        return all(map(_DONE, self.sms))
 
     def run(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> int:
         """Run to completion; returns the cycle at which all warps retired."""

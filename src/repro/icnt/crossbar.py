@@ -24,7 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.mem.queue import StatQueue
-from repro.mem.request import MemoryRequest
+from repro.mem.request import AccessKind, MemoryRequest
 from repro.sim.component import WAKE_NEVER, Component
 from repro.sim.config import ICNT_INPUT_QUEUE_PKTS, GPUConfig
 
@@ -50,13 +50,13 @@ class _InputPort:
         self.capacity = capacity_pkts
         self.locked_to: int | None = None
 
-    @property
-    def has_room(self) -> bool:
-        return len(self.fifo) < self.capacity
-
 
 class Crossbar(Component):
-    """N-input x M-output crossbar moving one flit per port per cycle."""
+    """N-input x M-output crossbar moving one flit per port per cycle.
+
+    ``flit_count`` must depend on a request's ``kind`` only: the packet
+    size of each kind is computed once, at construction.
+    """
 
     def __init__(
         self,
@@ -73,10 +73,13 @@ class Crossbar(Component):
         self._sources = sources
         self._sinks = sinks
         self._route = route
-        self._flit_count = flit_count
-        #: Packet port-occupancy in cycles: ceil(flits / lanes).
-        self._cycles_of = lambda req: max(1, -(-flit_count(req) // lanes))
-        self._lanes = lanes
+        #: Packet port-occupancy in cycles per request kind:
+        #: ceil(flits / lanes).
+        self._cycles_of: dict[AccessKind, int] = {
+            kind: max(1, -(-flit_count(MemoryRequest(-1, kind, 0, -1, -1))
+                           // lanes))
+            for kind in AccessKind
+        }
         #: Per-hop timestamp keys, formatted once.
         self._stamp_in = f"{stamp_hop}_in"
         self._stamp_out = f"{stamp_hop}_out"
@@ -110,7 +113,8 @@ class Crossbar(Component):
     # ------------------------------------------------------------------
     def step(self, now: int) -> None:
         self.cycles += 1
-        self._inject(now)
+        if any(self._src_items):
+            self._inject(now)
         if self._active_inputs:
             self._arbitrate_and_transfer(now)
 
@@ -127,24 +131,23 @@ class Crossbar(Component):
 
     def _inject(self, now: int) -> None:
         """Move packets from source queues into input-port FIFOs."""
+        stamp_in = self._stamp_in
+        route = self._route
+        cycles_of = self._cycles_of
         for src, items, port in self._pairs:
             if not items:
                 continue
-            while port.has_room and not src.empty:
+            fifo = port.fifo
+            capacity = port.capacity
+            while items and len(fifo) < capacity:
                 request = src.pop(now)
-                request.stamp(self._stamp_in, now)
-                dest = self._route(request)
-                if not port.fifo:
+                request.timestamps[stamp_in] = now
+                dest = route(request)
+                if not fifo:
                     self._active_inputs += 1
                     if port.locked_to is None:
                         self._head_dests[dest] += 1
-                port.fifo.append(
-                    _Packet(
-                        request=request,
-                        dest=dest,
-                        flits_left=self._cycles_of(request),
-                    )
-                )
+                fifo.append(_Packet(request, dest, cycles_of[request.kind]))
 
     def _arbitrate_and_transfer(self, now: int) -> None:
         n_inputs = len(self._inputs)
@@ -170,8 +173,9 @@ class Crossbar(Component):
                 continue
             self.flits_sent += 1
             self.packets_delivered += 1
-            packet.request.stamp(self._stamp_out, now)
-            sink.accept(packet.request, now)
+            request = packet.request
+            request.timestamps[self._stamp_out] = now
+            sink.accept(request, now)
             port.fifo.popleft()
             if not port.fifo:
                 self._active_inputs -= 1

@@ -155,7 +155,7 @@ class RingNetwork(Component):
             if len(self._arrivals[out_idx]) >= self.ARRIVAL_BUFFER:
                 continue
             source.pop(now)
-            request.stamp(self._stamp_in, now)
+            request.timestamps[self._stamp_in] = now
             arrive = now
             for link in links:
                 start = max(arrive, link.free_at)
@@ -174,7 +174,7 @@ class RingNetwork(Component):
             sink = self._sinks[out_idx]
             while buffer and sink.can_accept(buffer[0]):
                 request = buffer.popleft()
-                request.stamp(self._stamp_out, now)
+                request.timestamps[self._stamp_out] = now
                 sink.accept(request, now)
                 self.packets_delivered += 1
             if buffer:

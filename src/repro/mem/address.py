@@ -22,31 +22,38 @@ class AddressMapper:
 
     def __init__(self, config: GPUConfig) -> None:
         self.n_partitions = config.n_partitions
-        self._part_mask = config.n_partitions - 1
+        self.part_mask = config.n_partitions - 1
+        #: Width of the partition bits at the bottom of a global line
+        #: index.  ``part_shift``, ``part_mask`` and ``l2_bank_mask`` are
+        #: public so per-request code can apply them inline.
+        self.part_shift = self.part_mask.bit_length()
         self.l2_banks = config.l2.banks
-        self._l2_bank_mask = config.l2.banks - 1
+        self.l2_bank_mask = config.l2.banks - 1
         self.dram_banks = config.dram.banks
         self._dram_bank_mask = config.dram.banks - 1
         self.row_lines = DRAM_ROW_BYTES // config.line_bytes
         self._row_shift = self.row_lines.bit_length() - 1
+        self._bank_row_shift = self.part_shift + self._row_shift
+        self._row_line_shift = (
+            self._bank_row_shift + self._dram_bank_mask.bit_length())
 
     def partition(self, line: int) -> int:
         """Memory partition servicing ``line``."""
-        return line & self._part_mask
+        return line & self.part_mask
 
     def local_line(self, line: int) -> int:
         """Line index within its partition's local address space."""
-        return line >> (self._part_mask.bit_length())
+        return line >> self.part_shift
 
+    # The accessors below inline local_line(): they run per request.
     def l2_bank(self, line: int) -> int:
         """L2 bank within the partition."""
-        return self.local_line(line) & self._l2_bank_mask
+        return (line >> self.part_shift) & self.l2_bank_mask
 
     def dram_bank(self, line: int) -> int:
         """DRAM bank within the partition's channel."""
-        return (self.local_line(line) >> self._row_shift) & self._dram_bank_mask
+        return (line >> self._bank_row_shift) & self._dram_bank_mask
 
     def dram_row(self, line: int) -> int:
         """DRAM row within the bank."""
-        local = self.local_line(line)
-        return local >> (self._row_shift + self._dram_bank_mask.bit_length())
+        return line >> self._row_line_shift

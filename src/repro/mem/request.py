@@ -24,17 +24,26 @@ class AccessKind(enum.Enum):
     #: Dirty line evicted from L2, headed for DRAM.
     WRITEBACK = "writeback"
 
-    @property
-    def is_write(self) -> bool:
-        return self is not AccessKind.LOAD
+
+# Plain attribute (not a property) because MSHR allocation and merging
+# consult it on the per-cycle path.
+for _kind in AccessKind:
+    _kind.is_write = _kind is not AccessKind.LOAD
+
+# Members are singletons, so identity hashing is equivalent to the default
+# Enum hash (a Python-level function); the crossbars look packet sizes up
+# by kind for every packet.
+AccessKind.__hash__ = object.__hash__
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class MemoryRequest:
     """One line-sized memory transaction.
 
     ``line`` is the line *index* (byte address // line size); all routing
-    and cache indexing operate on line indices.
+    and cache indexing operate on line indices.  Requests compare by
+    identity: each is one transaction, and queue removal (the FR-FCFS
+    scheduler dequeues out of order) must not compare field by field.
     """
 
     rid: int

@@ -44,9 +44,10 @@ import os
 import pickle
 from collections.abc import Callable, Collection, Iterable
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from repro.core.metrics import RunMetrics
+if TYPE_CHECKING:
+    from repro.core.metrics import RunMetrics
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -141,6 +142,9 @@ class ResultCache:
     # ------------------------------------------------------------------
     def get(self, key: str) -> RunMetrics | None:
         """Return the cached metrics for ``key``, or None on a miss."""
+        # Deferred: ``repro cache`` manages the store without the simulator.
+        from repro.core.metrics import RunMetrics
+
         path = self._path(key)
         try:
             with path.open("rb") as handle:

@@ -66,6 +66,7 @@ from typing import Any
 from repro.core.metrics import RunMetrics
 from repro.errors import RunnerError, UsageError
 from repro.runner.cache import ResultCache, _append_jsonl, _read_jsonl
+from repro.runner.defaults import DEFAULT_POLL, DEFAULT_STALE_AFTER
 from repro.runner.events import EventLog
 from repro.runner.job import Job, code_version
 from repro.runner.pool import DEFAULT_RETRIES, BatchRunner
@@ -80,12 +81,6 @@ CLAIMS_DIR = "claims"
 EVENTS_DIR = "events"
 #: Default shared store location inside the campaign directory.
 STORE_DIR = "store"
-
-#: Seconds without a heartbeat before a claim may be taken over.
-DEFAULT_STALE_AFTER = 600.0
-
-#: Seconds between polls while waiting on units claimed by other workers.
-DEFAULT_POLL = 0.5
 
 
 def _campaign_dir(directory: str | Path) -> Path:

@@ -29,11 +29,8 @@ from repro.utils.lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.service.client import ServiceClient
-    from repro.service.daemon import (
-        DEFAULT_QUEUE_DEPTH,
-        ReproDaemon,
-        Submission,
-    )
+    from repro.service.daemon import ReproDaemon, Submission
+    from repro.service.defaults import DEFAULT_QUEUE_DEPTH
     from repro.service.protocol import (
         PROTOCOL_VERSION,
         ServiceError,
@@ -44,7 +41,8 @@ if TYPE_CHECKING:
     from repro.service.server import ServiceServer, serve
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.service.daemon": ("DEFAULT_QUEUE_DEPTH", "ReproDaemon", "Submission"),
+    "repro.service.daemon": ("ReproDaemon", "Submission"),
+    "repro.service.defaults": ("DEFAULT_QUEUE_DEPTH",),
     "repro.service.protocol": (
         "PROTOCOL_VERSION", "ServiceError", "build_jobs", "submission_id",
         "sweep_spec",

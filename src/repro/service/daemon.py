@@ -51,6 +51,7 @@ from repro.runner.cache import ResultCache, _read_jsonl
 from repro.runner.events import EventLog
 from repro.runner.job import Job
 from repro.runner.pool import DEFAULT_RETRIES, BatchRunner
+from repro.service.defaults import DEFAULT_QUEUE_DEPTH
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     ServiceError,
@@ -58,9 +59,6 @@ from repro.service.protocol import (
     check_spec_types,
     submission_id,
 )
-
-#: Default bound on queued (not yet running) submissions.
-DEFAULT_QUEUE_DEPTH = 16
 
 #: Directory names under the daemon's state directory.
 STORE_DIR = "store"
@@ -470,7 +468,6 @@ class ReproDaemon:
 
 
 __all__ = [
-    "DEFAULT_QUEUE_DEPTH",
     "CANCELLED",
     "DONE",
     "FAILED",

@@ -167,6 +167,10 @@ class TestImportFootprint:
         assert "repro.core.validation" not in loaded
         assert not [m for m in loaded
                     if m.startswith(("repro.telemetry", "repro.analysis"))]
+        # Parser defaults come from import-light modules: building the
+        # parser loads no simulator, campaign runner or daemon.
+        assert not loaded & {
+            "repro.gpu", "repro.runner.campaign", "repro.service.daemon"}
 
     def test_runner_pool_preloads_the_simulator(self):
         """``BatchRunner`` forks a fresh pool per batch; its workers must

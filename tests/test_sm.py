@@ -6,6 +6,9 @@ memory system.
 
 import dataclasses
 
+import pytest
+
+from repro.cache.l1 import AccessResult
 from repro.cores.sm import SM
 from repro.cores.warp import WarpState
 from repro.mem.request import RequestFactory
@@ -143,3 +146,83 @@ class TestMultiWarp:
         expected = (3 + 1 + 1) + (2 + 1)
         assert sm.instructions == expected
         assert sm.instructions == sum(w.instructions for w in sm.warps)
+
+
+#: SMs whose LD/ST head stalls on a full L1 miss queue (tiny: 4 slots)
+#: while no warp can issue: the only warp blocked on its MLP limit, or a
+#: ready warp whose next load cannot fit in the LD/ST queue (frozen issue).
+STALLED_SHAPES = {
+    "no_ready_warp": dict(
+        program=[("load", [1, 2, 3, 4, 5, 6])], mlp=1, ldst_queue_depth=64),
+    "issue_frozen": dict(
+        program=[("load", [1, 2, 3, 4, 5, 6]), ("load", list(range(7, 13)))],
+        mlp=4, ldst_queue_depth=7),
+}
+#: Cycle after whose SM step the test pops the miss queue, as the request
+#: network (stepped after the SMs) would.
+POP_AT = 40
+
+
+def make_stalled_sm(shape, fast):
+    spec = STALLED_SHAPES[shape]
+    cfg = tiny_gpu()
+    cfg = dataclasses.replace(cfg, core=dataclasses.replace(
+        cfg.core, ldst_queue_depth=spec["ldst_queue_depth"]))
+    sm = SM(0, cfg, [iter(spec["program"])], spec["mlp"], RequestFactory())
+    sm.set_fast_mode(fast)
+    return sm
+
+
+def spy(sm, method):
+    """Record the cycle of every call of ``sm.<method>``."""
+    calls = []
+    original = getattr(sm, method)
+
+    def wrapper(now):
+        calls.append(now)
+        return original(now)
+
+    setattr(sm, method, wrapper)
+    return calls
+
+
+def drive(sm, start, stop):
+    for c in range(start, stop):
+        sm.step(c)
+        if c == POP_AT:
+            sm.l1.miss_queue.pop(c)
+
+
+@pytest.mark.parametrize("shape", sorted(STALLED_SHAPES))
+class TestStalledLdstWindow:
+    def test_sleeps_until_a_miss_queue_pop(self, shape):
+        sm = make_stalled_sm(shape, fast=True)
+        drains = spy(sm, "_drain_ldst")
+        issues = spy(sm, "_issue")
+        drive(sm, 0, 3)
+        assert sm.stall_cycles_by_cause == {AccessResult.STALL_MISSQ_FULL: 1}
+        assert sm.l1.misses_issued == 4
+        assert sm.issue_cycles == 1  # cycles 1 and 2 could not issue
+        settled = (list(drains), list(issues))
+        drive(sm, 3, POP_AT + 1)
+        # Nothing changed since cycle 2: the SM did not re-run its stages.
+        assert (drains, issues) == settled
+        drive(sm, POP_AT + 1, POP_AT + 2)
+        # The pop moved the L1 resource epoch: the head retried at once.
+        assert drains[-1] == issues[-1] == POP_AT + 1
+        assert sm.l1.misses_issued == 5
+
+    def test_counters_match_the_naive_loop(self, shape):
+        runs = []
+        for fast in (True, False):
+            sm = make_stalled_sm(shape, fast)
+            drive(sm, 0, 100)
+            sm.finalize(100)
+            runs.append((
+                sm.inspect_cycle_classes(), sm.instructions,
+                sm.mem_pipeline_stall_cycles, dict(sm.stall_cycles_by_cause),
+                sm.l1.misses_issued, dict(sm.l1.stall_counts),
+                len(sm._ldst_queue),
+            ))
+        assert runs[0] == runs[1]
+        assert runs[0][0]["cycles"] == 100
